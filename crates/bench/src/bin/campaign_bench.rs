@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use mn_campaign::{Campaign, CampaignPoint, DiskCache, Engine};
+use mn_campaign::{jobs_from_env, Campaign, CampaignPoint, DiskCache, Engine};
 use mn_core::SystemConfig;
 use mn_telemetry::registry;
 use mn_topo::TopologyKind;
@@ -64,8 +64,10 @@ fn rate_of(points_per_pass: usize, mut pass: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let available_cores = jobs;
+    // Workers honor MN_JOBS like every figure binary; the host's cores
+    // are recorded separately so a row can be read against both.
+    let jobs = jobs_from_env();
+    let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let scratch =
         std::env::temp_dir().join(format!("mncube-campaign-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&scratch);

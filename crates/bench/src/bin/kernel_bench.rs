@@ -65,20 +65,10 @@ struct Case {
     iters: u32,
     /// Transient CRC fault rate (0.0 = healthy links).
     fault_rate: f64,
-    /// Conservative-PDES shard count (1 = the serial path). Sharded
-    /// cases run full-duplex with deep input buffers — the eligibility
-    /// gate declines half-duplex cuts, and a boundary buffer that fills
-    /// aborts back to serial, which would make the measured event count
-    /// flap between the sharded and serial streams across iterations.
-    shards: usize,
 }
 
 struct Measurement {
     name: String,
-    /// Worker threads the case actually uses (the shard count; 1 is the
-    /// serial kernel). Archived so a wall-clock delta between machines
-    /// can be read against how much parallelism each case asked for.
-    threads: usize,
     events_per_iter: u64,
     queue_peak: usize,
     ns_per_event: f64,
@@ -98,11 +88,6 @@ fn run_case(case: &Case) -> Measurement {
     if case.fault_rate > 0.0 {
         config.noc.fault.transient_rate = case.fault_rate;
         config.noc.fault.seed = 7;
-    }
-    if case.shards > 1 {
-        config.shards = case.shards;
-        config.noc.duplex = mn_noc::LinkDuplex::Full;
-        config.noc.buffer_packets = 64;
     }
     // MN_TRACE lets CI measure telemetry overhead (off/counters/full)
     // with the same binary; the event stream is identical either way.
@@ -135,7 +120,6 @@ fn run_case(case: &Case) -> Measurement {
     let secs = wall.as_secs_f64();
     Measurement {
         name: case.name.to_string(),
-        threads: case.shards,
         events_per_iter: events,
         queue_peak: kernel.queue_peak as usize,
         ns_per_event: secs * 1e9 / total_events as f64,
@@ -158,7 +142,6 @@ fn main() {
             workload: Workload::Dct,
             iters: 40,
             fault_rate: 0.0,
-            shards: 1,
         },
         Case {
             name: "tree-2k-requests",
@@ -167,7 +150,6 @@ fn main() {
             workload: Workload::Nw,
             iters: 10,
             fault_rate: 0.0,
-            shards: 1,
         },
         Case {
             name: "skiplist-2k-requests",
@@ -176,7 +158,6 @@ fn main() {
             workload: Workload::Backprop,
             iters: 10,
             fault_rate: 0.0,
-            shards: 1,
         },
         // Retry/replay path: transient CRC faults stretch link occupancy
         // and touch the per-link retry buffers every few hundred packets.
@@ -187,33 +168,16 @@ fn main() {
             workload: Workload::Dct,
             iters: 40,
             fault_rate: 0.02,
-            shards: 1,
-        },
-        // Conservative-PDES sharding (DESIGN.md §5.4): the same chain-640
-        // drive split across 4 shards. Wall-clock speedup over the serial
-        // case tracks available cores; the event stream is the sharded
-        // one (shard drain adds packetless churn), deterministic in its
-        // own right.
-        Case {
-            name: "chain-640-sharded-4",
-            topology: TopologyKind::Chain,
-            requests: 640,
-            workload: Workload::Dct,
-            iters: 40,
-            fault_rate: 0.0,
-            shards: 4,
         },
     ];
 
-    // The host's available parallelism, archived next to the per-case
-    // thread counts: a sharded case's speedup is only meaningful when the
-    // machine actually had the cores to run its shards concurrently.
+    // The host's available parallelism, archived so a wall-clock delta
+    // between machines can be read against the cores each one had.
     let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("available cores: {available_cores}");
     println!(
-        "{:<22} {:>8} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>7} {:>8} {:>8} {:>10}",
+        "{:<22} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>7} {:>8} {:>8} {:>10}",
         "case",
-        "threads",
         "events/iter",
         "peak q",
         "ns/event",
@@ -229,9 +193,8 @@ fn main() {
     for case in &cases {
         let m = run_case(case);
         println!(
-            "{:<22} {:>8} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>7} {:>8} {:>8} {:>10.3}",
+            "{:<22} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>7} {:>8} {:>8} {:>10.3}",
             m.name,
-            m.threads,
             m.events_per_iter,
             m.queue_peak,
             m.ns_per_event,
@@ -252,13 +215,12 @@ fn main() {
         let comma = if i + 1 < measurements.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{\"name\":\"{}\",\"threads\":{},\"events_per_iter\":{},\"peak_queue_depth\":{},\
+            "    {{\"name\":\"{}\",\"events_per_iter\":{},\"peak_queue_depth\":{},\
              \"ns_per_event\":{:.3},\"events_per_sec\":{:.0},\
              \"allocs_per_1k_events\":{:.2},\"steady_allocs_per_1k_events\":{:.3},\
              \"bucket_spills\":{},\"rewindows\":{},\"arena_high_water\":{},\
              \"wall_per_iter_ms\":{:.3}}}{comma}",
             m.name,
-            m.threads,
             m.events_per_iter,
             m.queue_peak,
             m.ns_per_event,

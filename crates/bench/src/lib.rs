@@ -83,9 +83,6 @@ pub fn tune(mut config: SystemConfig) -> SystemConfig {
         config.host.initial_window = window;
         config.host.window_cap = config.host.window_cap.max(window);
     }
-    if let Some(shards) = mn_campaign::shards_from_env() {
-        config.shards = shards;
-    }
     config
 }
 

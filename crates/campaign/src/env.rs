@@ -106,24 +106,6 @@ pub fn trace_dir_from_env() -> Option<std::path::PathBuf> {
     Some(std::path::PathBuf::from(dir))
 }
 
-/// Intra-run shard count override: `MN_SHARDS`, the number of
-/// conservative-PDES shards each port simulation is partitioned into
-/// (`DESIGN.md` §5.4). Sharded runs are bit-identical to serial — the
-/// knob never joins the result fingerprint — so it is safe to set on any
-/// binary. A value of 0 is treated as malformed (1 means serial).
-pub fn shards_from_env() -> Option<usize> {
-    match env_parse::<usize>("MN_SHARDS") {
-        Some(0) => {
-            warn_once(
-                "MN_SHARDS",
-                "ignoring MN_SHARDS=0 (need at least one shard; 1 is serial)",
-            );
-            None
-        }
-        other => other,
-    }
-}
-
 /// Per-point retry budget: `MN_RETRIES`, the number of re-dispatches a
 /// retryable failure (stall, lost worker, caught panic) earns beyond the
 /// first attempt. 0 disables retries. Execution policy only — the knob
@@ -381,17 +363,6 @@ mod tests {
         std::env::set_var("MN_HOST_WINDOW", "0"); // degenerate: warned
         assert_eq!(host_window_from_env(), None);
         std::env::remove_var("MN_HOST_WINDOW");
-
-        // Shard-count knob, same single-test discipline.
-        std::env::remove_var("MN_SHARDS");
-        assert_eq!(shards_from_env(), None);
-        std::env::set_var("MN_SHARDS", "4");
-        assert_eq!(shards_from_env(), Some(4));
-        std::env::set_var("MN_SHARDS", "0"); // degenerate: warned
-        assert_eq!(shards_from_env(), None);
-        std::env::set_var("MN_SHARDS", "four"); // malformed: warned
-        assert_eq!(shards_from_env(), None);
-        std::env::remove_var("MN_SHARDS");
 
         // Robustness knobs, same single-test discipline.
         std::env::remove_var("MN_RETRIES");

@@ -142,7 +142,6 @@ mod tests {
                 queued: 0,
                 in_network: 1,
                 flight: Vec::new(),
-                shard_progress: Vec::new(),
             },
         }
         .is_retryable());

@@ -76,7 +76,7 @@ pub use env::{
     cache_budget_from_env, chaos_rate_from_env, chaos_seed_from_env, coalesce_from_env, env_parse,
     fault_rate_from_env, fault_seed_from_env, host_policy_from_env, host_window_from_env,
     jobs_from_env, metrics_file_from_env, metrics_from_env, metrics_interval_from_env, parse_size,
-    resume_from_env, retries_from_env, shards_from_env, trace_dir_from_env, trace_from_env,
+    resume_from_env, retries_from_env, trace_dir_from_env, trace_from_env,
 };
 pub use error::CampaignError;
 pub use journal::{ReplayedPoint, RunJournal};

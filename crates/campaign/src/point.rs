@@ -65,10 +65,8 @@ impl CampaignPoint {
             // vs. hang); it never changes what a completed run computes,
             // so it stays out of the fingerprint (see SystemConfig docs).
             watchdog_limit: _,
-            // Sharded execution is bit-identical to serial by contract
-            // (enforced by the shard_diff suite and a CI cmp), so the
-            // shard count only decides how a run executes, never what it
-            // computes — serial and sharded runs share cache entries.
+            // Inert (see SystemConfig docs): nothing reads it, so it
+            // cannot change what a run computes.
             shards: _,
         } = &self.config;
         let NocConfig {
@@ -315,10 +313,7 @@ mod tests {
 
     #[test]
     fn shards_is_not_fingerprinted() {
-        // Sharded runs are bit-identical to serial (or fall back to it),
-        // so the shard count must not split the cache: an `MN_SHARDS=4`
-        // campaign reuses — and refreshes — the same committed entries
-        // as a serial one.
+        // The field is inert, so it must not split the cache.
         let a = point();
         let mut b = point();
         b.config.shards = 4;

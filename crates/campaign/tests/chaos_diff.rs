@@ -3,8 +3,8 @@
 //! retry, cache corruption with quarantine, stale temp litter with the
 //! open-time sweep, torn journals with tolerant replay, kill-and-resume —
 //! converges to results **byte-identical** to an undisturbed run. Proven
-//! the way `shard_diff.rs` proved sharding: run both sides and compare
-//! the rendered sink records byte for byte.
+//! differentially: run both sides and compare the rendered sink records
+//! byte for byte.
 //!
 //! Only provenance columns may differ between a disturbed run and a clean
 //! one (`cached`, `attempts`, `host_ms` — *how* a result was obtained);

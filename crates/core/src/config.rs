@@ -104,14 +104,11 @@ pub struct SystemConfig {
     /// of the result fingerprint: the limit only decides how a broken run
     /// fails (error vs. hang), never what a completed run computes.
     pub watchdog_limit: u64,
-    /// Intra-run parallelism: partition each port's topology into this
-    /// many contiguous-cube-range shards advanced concurrently under a
-    /// conservative lookahead (`DESIGN.md` §5.4). 1 — the default — is
-    /// the serial path, byte-for-byte untouched. Values above 1 must
-    /// produce bit-identical results (ineligible configurations fall
-    /// back to serial automatically), so like `watchdog_limit` this is
-    /// *not* part of the result fingerprint: it only decides how a run
-    /// executes, never what it computes.
+    /// Inert. Defaults to 1, nothing in the workspace reads it, and it is
+    /// not part of the result fingerprint. It remains only because the
+    /// benchmark's traced run reads it to report `core.sharded_points`;
+    /// the field goes at the next benchmark revision (`DESIGN.md` §5.4
+    /// records why intra-run sharding was removed).
     pub shards: usize,
 }
 

@@ -76,7 +76,6 @@ mod network;
 mod packet;
 mod policy;
 mod pool;
-mod shard;
 mod stats;
 mod telem;
 
@@ -87,12 +86,8 @@ pub use arbiter::{
 pub use config::{LinkDuplex, LinkTiming, NocConfig};
 pub use fault::{FaultConfig, FaultModel, FaultStats};
 pub use mn_telemetry::TraceConfig;
-pub use network::{
-    Delivery, InBinding, IntoSharedTopology, Network, NetworkError, NetworkFull, OutBinding,
-    ShardBinding,
-};
-pub use packet::{Packet, PacketId, PacketKind, ShardMeta, VirtualChannel};
+pub use network::{Delivery, IntoSharedTopology, Network, NetworkError, NetworkFull};
+pub use packet::{Packet, PacketId, PacketKind, VirtualChannel};
 pub use policy::WriteBurstDetector;
-pub use shard::{CutEdge, CutMsg, CutReceiver, CutSender, PopLog, ShardPlan};
 pub use stats::NetStats;
 pub use telem::NetTelemetry;

@@ -103,44 +103,6 @@ impl VirtualChannel {
     pub const COUNT: usize = 2;
 }
 
-/// Side-band request bookkeeping carried *inside* the packet so a sharded
-/// run can process a request on a cube shard without reaching into the
-/// host's inflight table, and finish a response on the host shard without
-/// reaching into a cube shard's controller state (see `DESIGN.md` §5.4).
-///
-/// Serial runs populate these fields too — keeping one code path writing
-/// them — but nothing outside the sharded driver ever reads them: they
-/// never influence routing, arbitration, timing, or a reported statistic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardMeta {
-    /// When the host handed the request to its issue queue (`offered_at`
-    /// in the inflight record); a cube shard needs it to attribute
-    /// to-memory latency.
-    pub offered_at: SimTime,
-    /// When the memory array finished the access, stamped onto the
-    /// response by whichever shard ran the controller; the host needs it
-    /// to attribute from-memory latency.
-    pub mem_done: SimTime,
-    /// Decoded target quadrant within the destination cube.
-    pub quadrant: u8,
-    /// Decoded bank within the quadrant.
-    pub bank: u16,
-    /// Decoded DRAM/NVM row.
-    pub row: u64,
-}
-
-impl Default for ShardMeta {
-    fn default() -> Self {
-        ShardMeta {
-            offered_at: SimTime::ZERO,
-            mem_done: SimTime::ZERO,
-            quadrant: 0,
-            bank: 0,
-            row: 0,
-        }
-    }
-}
-
 /// A packet traversing the memory network.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
@@ -169,9 +131,6 @@ pub struct Packet {
     /// policy sees end-to-end congestion. Never set when the threshold is
     /// 0 (the default).
     pub marked: bool,
-    /// Sharded-execution side band (write-only outside the sharded
-    /// driver; see [`ShardMeta`]).
-    pub meta: ShardMeta,
     hops: u32,
 }
 
@@ -199,7 +158,6 @@ impl Packet {
             src_is_nvm: false,
             injected_at: SimTime::ZERO,
             marked: false,
-            meta: ShardMeta::default(),
             hops: 0,
         }
     }
@@ -223,7 +181,6 @@ impl Packet {
             src_is_nvm,
             injected_at: SimTime::ZERO,
             marked: request.marked,
-            meta: request.meta,
             hops: 0,
         }
     }

@@ -1,10 +1,10 @@
 //! Thread-local construction pooling for [`crate::Network`] storage.
 //!
-//! Campaigns and sharded runs construct thousands of short-lived networks
-//! over a handful of topology shapes. Construction cost is dominated by
-//! the struct-of-arrays router state — hundreds of pre-sized `VecDeque`
-//! input buffers plus the packet arena — so a finished network can donate
-//! that storage back (see `Network::recycle`) and the next construction
+//! Campaigns construct thousands of short-lived networks over a handful
+//! of topology shapes. Construction cost is dominated by the
+//! struct-of-arrays router state — hundreds of pre-sized `VecDeque` input
+//! buffers plus the packet arena — so a finished network can donate that
+//! storage back (see `Network::recycle`) and the next construction
 //! of the same shape takes it from a thread-local free list instead of
 //! allocating.
 //!
@@ -94,7 +94,7 @@ impl NetworkStorage {
 }
 
 /// Storages retained per thread. Small: a campaign thread works one shape
-/// at a time, and a sharded run donates at most one storage per shard.
+/// at a time.
 const POOL_LIMIT: usize = 8;
 
 thread_local! {

@@ -38,30 +38,6 @@ impl NetStats {
         }
     }
 
-    /// Folds another network's statistics into this one — the sharded-run
-    /// merge. Every field is an order-free sum: the counters count
-    /// disjoint events (each injection, delivery, hop, and arbitration
-    /// round happens on exactly one shard), and each `link_busy` direction
-    /// is written by exactly one shard (the one owning the sending
-    /// endpoint), so summing reproduces the serial totals bit-for-bit.
-    pub fn merge(&mut self, other: &NetStats) {
-        self.injected.add(other.injected.value());
-        self.delivered.add(other.delivered.value());
-        self.hops.add(other.hops.value());
-        self.bit_hops += other.bit_hops;
-        self.marked.add(other.marked.value());
-        self.arbitration_rounds
-            .add(other.arbitration_rounds.value());
-        assert_eq!(
-            self.link_busy.len(),
-            other.link_busy.len(),
-            "merging stats from different topologies"
-        );
-        for (mine, theirs) in self.link_busy.iter_mut().zip(&other.link_busy) {
-            *mine += *theirs;
-        }
-    }
-
     /// Transport energy in picojoules given a pJ/bit/hop figure.
     pub fn transport_energy_pj(&self, pj_per_bit_hop: f64) -> f64 {
         self.bit_hops as f64 * pj_per_bit_hop

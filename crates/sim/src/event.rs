@@ -128,25 +128,7 @@ impl<E> EventQueue<E> {
         self.ladder.push(time, event);
     }
 
-    /// Schedules `event` at `time` with an explicit causal instant
-    /// instead of the queue clock — the sharded-execution entry point for
-    /// boundary messages, which carry the sender's instant so they sort
-    /// exactly where a single global queue would have held them. See
-    /// [`LadderQueue::push_at`].
-    pub fn push_at(&mut self, time: SimTime, push: SimTime, event: E) {
-        self.ladder.push_at(time, push, event);
-    }
-
-    /// Advances the queue clock stamped onto subsequent pushes as the
-    /// second ordering key (see [`LadderQueue::set_clock`]). Drivers call
-    /// this with the instant they are currently processing; for callers
-    /// that never do, the clock stays zero and the pop order is the
-    /// classic `(time, seq)`.
-    pub fn set_clock(&mut self, clock: SimTime) {
-        self.ladder.set_clock(clock);
-    }
-
-    /// Removes and returns the earliest event, advancing the queue's clock.
+    /// Removes and returns the earliest event, advancing [`EventQueue::now`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.ladder.pop()
     }

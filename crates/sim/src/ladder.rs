@@ -15,25 +15,18 @@
 //!
 //! ## The FIFO tie-break invariant
 //!
-//! The pop order is **exactly** `(time, push instant, insertion sequence)`.
-//! Each entry is stamped with the queue's [`LadderQueue::set_clock`] value
-//! at push time (the simulation instant that *caused* the push). For a
-//! single-queue simulation the clock is nondecreasing across pushes, so
-//! the refined key orders identically to the classic `(time, insertion
-//! sequence)` a binary heap with an explicit sequence tie-break produces —
-//! which is what pins the workspace's bit-reproducible results. The extra
-//! component exists for sharded execution: a shard draining boundary
-//! messages inserts them with [`LadderQueue::push_at`] carrying the
-//! *sender's* causal instant, which slots them exactly where the single
-//! global queue would have held them. Three mechanisms guarantee the
-//! order (see `DESIGN.md` §5.3/§5.4):
+//! The pop order is **exactly** `(time, insertion sequence)` — the order a
+//! binary heap with an explicit sequence tie-break produces, which is what
+//! pins the workspace's bit-reproducible results. No sequence number is
+//! stored: every path that reorders entries is stable, so push order
+//! survives. Three mechanisms guarantee the order (see `DESIGN.md` §5.3):
 //!
 //! 1. Appends into a pending bucket happen in push order, and activation
-//!    sorts **stably by `(time, push instant)`**, so entries with equal
-//!    keys keep their insertion order.
+//!    sorts **stably by time**, so same-instant entries keep their
+//!    insertion order.
 //! 2. Pushes into the already-sorted active bucket insert after every
-//!    entry with `(time, push instant)` ≤ theirs (among equal keys their
-//!    sequence number is by construction the largest yet issued).
+//!    entry with time ≤ theirs (among equal times their sequence number is
+//!    by construction the largest yet issued).
 //! 3. The overflow rung preserves push order, and a rewindow distributes
 //!    it in that order into empty buckets — entries pushed later are
 //!    appended later, so stability composes.
@@ -65,28 +58,16 @@ pub const BUCKET_PS: u64 = 512;
 
 const OCC_WORDS: usize = N_BUCKETS / 64;
 
+/// One pending event. The insertion-sequence tie-break is implicit: every
+/// path that reorders entries is stable, so push order survives.
 #[derive(Debug, Clone)]
 struct Entry<E> {
     time: SimTime,
-    /// The causal instant of the push (the queue clock, or the sender's
-    /// instant for [`LadderQueue::push_at`]); the second ordering key.
-    /// The final tie-break — insertion sequence — is implicit: every
-    /// path that reorders entries is stable, so push order survives.
-    push: SimTime,
     event: E,
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, SimTime) {
-        (self.time, self.push)
-    }
-}
-
-/// A time-ordered queue with `(time, push-instant, insertion-seq)` pop
-/// order, O(1) amortized operations, and a zero-allocation steady state.
-/// With the clock left at its [`SimTime::ZERO`] default the order is the
-/// classic `(time, insertion-seq)`.
+/// A time-ordered queue with `(time, insertion-seq)` pop order, O(1)
+/// amortized operations, and a zero-allocation steady state.
 ///
 /// Pops are monotonically non-decreasing in time; pushing earlier than the
 /// last popped instant is a caller logic error caught by a debug
@@ -128,10 +109,6 @@ pub struct LadderQueue<E> {
     /// Reused by `rewindow` to partition `overflow` without allocating.
     scratch: Vec<Entry<E>>,
     len: usize,
-    /// The causal instant stamped onto [`LadderQueue::push`]es; advanced by
-    /// [`LadderQueue::set_clock`]. Stays [`SimTime::ZERO`] for callers that
-    /// never set it, collapsing the refined key back to `(time, seq)`.
-    clock: SimTime,
     now: SimTime,
     popped: u64,
     pushed: u64,
@@ -152,7 +129,6 @@ impl<E> LadderQueue<E> {
             overflow: Vec::new(),
             scratch: Vec::new(),
             len: 0,
-            clock: SimTime::ZERO,
             now: SimTime::ZERO,
             popped: 0,
             pushed: 0,
@@ -229,58 +205,20 @@ impl<E> LadderQueue<E> {
         }
     }
 
-    /// Advances the queue clock: the causal instant stamped onto every
-    /// subsequent [`LadderQueue::push`] as the second ordering key.
-    /// Simulation drivers call this with the instant they are currently
-    /// processing; the clock must never move backwards.
-    pub fn set_clock(&mut self, clock: SimTime) {
-        debug_assert!(
-            clock >= self.clock,
-            "queue clock moved backwards ({clock} < {})",
-            self.clock
-        );
-        self.clock = clock;
-    }
-
-    /// The current queue clock (see [`LadderQueue::set_clock`]).
-    pub fn clock(&self) -> SimTime {
-        self.clock
-    }
-
-    /// Schedules `event` at `time`, stamped with the current queue clock.
+    /// Schedules `event` at `time`; same-instant events pop in push order.
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `time` is earlier than the most recently
     /// popped instant (scheduling into the past).
     pub fn push(&mut self, time: SimTime, event: E) {
-        let push = self.clock;
-        self.push_at(time, push, event);
-    }
-
-    /// Schedules `event` at `time` with an explicit causal instant `push`
-    /// instead of the queue clock. Sharded execution drains boundary
-    /// messages with the *sender's* instant so they sort exactly where a
-    /// single global queue would have held them; same-key entries keep
-    /// their insertion order.
-    ///
-    /// # Panics
-    ///
-    /// In debug builds, panics if `time` is earlier than the most recently
-    /// popped instant, or if `push > time` (an event cannot be caused
-    /// after it fires).
-    pub fn push_at(&mut self, time: SimTime, push: SimTime, event: E) {
         debug_assert!(
             time >= self.now,
             "scheduled event at {time} into the past (now = {})",
             self.now
         );
-        debug_assert!(
-            push <= time,
-            "push instant {push} is after the firing time {time}"
-        );
         self.pushed += 1;
-        let entry = Entry { time, push, event };
+        let entry = Entry { time, event };
         let t = time.as_ps();
         if self.len == 0 {
             // Empty queue: re-anchor the window at this event.
@@ -313,10 +251,9 @@ impl<E> LadderQueue<E> {
         }
         if idx == self.cur {
             // The active bucket is sorted; this entry is the newest push,
-            // so it slots in after every entry with key ≤ its own —
-            // exactly the (time, push, seq) position.
-            let key = entry.key();
-            let pos = self.buckets[idx].partition_point(|e| e.key() <= key);
+            // so it slots in after every entry with time ≤ its own —
+            // exactly the (time, seq) position.
+            let pos = self.buckets[idx].partition_point(|e| e.time <= time);
             self.buckets[idx].insert(pos, entry);
         } else if idx > self.cur {
             // Pending bucket: append; activation sorts stably by time, so
@@ -375,19 +312,19 @@ impl<E> LadderQueue<E> {
         self.cur = 0;
     }
 
-    /// Sorts `buckets[b]` stably by `(time, push instant)` (preserving
-    /// insertion order — and therefore seq order — among equal-key
-    /// entries) and makes it the active bucket.
+    /// Sorts `buckets[b]` stably by time (preserving insertion order — and
+    /// therefore seq order — among same-instant entries) and makes it the
+    /// active bucket.
     fn activate(&mut self, b: usize) {
         self.cur = b;
         let bucket = &mut self.buckets[b];
         if bucket.len() > 1 {
-            bucket.make_contiguous().sort_by_key(Entry::key);
+            bucket.make_contiguous().sort_by_key(|e| e.time);
         }
         debug_assert!(self.buckets[b]
             .iter()
             .zip(self.buckets[b].iter().skip(1))
-            .all(|(a, b)| a.key() <= b.key()));
+            .all(|(a, b)| a.time <= b.time));
     }
 
     /// Re-anchors the window at the earliest overflow event and moves the
@@ -434,7 +371,7 @@ impl<E> LadderQueue<E> {
         }
     }
 
-    /// Removes and returns the earliest event, advancing the queue clock.
+    /// Removes and returns the earliest event, advancing [`LadderQueue::now`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.len == 0 {
             return None;
@@ -759,60 +696,6 @@ mod tests {
             batched.extend(out.drain(..).map(|v| (t, v)));
         }
         assert_eq!(one, batched);
-    }
-
-    #[test]
-    fn push_at_orders_by_causal_instant_within_a_tie() {
-        // Local pushes at clock 10 ns; a boundary message caused at 5 ns
-        // arriving at the same instant must pop *before* them — exactly
-        // where the single global queue would have held it.
-        let t = SimTime::from_ns(20);
-        let mut q = LadderQueue::new();
-        q.set_clock(SimTime::from_ns(10));
-        q.push(t, "local-1");
-        q.push(t, "local-2");
-        q.push_at(t, SimTime::from_ns(5), "remote-early");
-        q.push_at(t, SimTime::from_ns(10), "remote-tied");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        // Equal (time, push) keys keep insertion order: the tied remote
-        // lands after both locals pushed at the same clock.
-        assert_eq!(order, ["remote-early", "local-1", "local-2", "remote-tied"]);
-    }
-
-    #[test]
-    fn push_at_ordering_survives_activation_sort() {
-        // Same-key stability through the pending-bucket path: land the tie
-        // in a not-yet-active bucket so activation has to sort it.
-        let mut q = LadderQueue::with_capacity_and_bucket(8, 64);
-        q.push(SimTime::from_ps(1), "head");
-        let t = SimTime::from_ps(1000);
-        q.push_at(t, SimTime::from_ps(700), "b");
-        q.push_at(t, SimTime::from_ps(300), "a");
-        q.push_at(t, SimTime::from_ps(700), "c");
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["head", "a", "b", "c"]);
-    }
-
-    #[test]
-    fn clock_defaults_keep_classic_fifo_order() {
-        // Callers that never touch the clock see the old (time, seq)
-        // behavior bit for bit.
-        let mut q = LadderQueue::new();
-        assert_eq!(q.clock(), SimTime::ZERO);
-        for i in 0..10 {
-            q.push(SimTime::from_ns(3), i);
-        }
-        for i in 0..10 {
-            assert_eq!(q.pop().unwrap().1, i);
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "after the firing time")]
-    fn push_after_fire_time_panics_in_debug() {
-        let mut q = LadderQueue::new();
-        q.push_at(SimTime::from_ns(1), SimTime::from_ns(2), ());
     }
 
     #[test]
