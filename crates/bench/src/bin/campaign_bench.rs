@@ -2,9 +2,9 @@
 //! `BENCH_campaign.json`.
 //!
 //! Where `kernel_bench` times the DES kernel underneath one port,
-//! this times the *engine around it*: the work-stealing scheduler, the
-//! content-addressed cache's two hit paths, and cross-campaign
-//! coalescing. Four measurements, all in points/sec over the same grid:
+//! this times the *engine around it*: the work-stealing scheduler and
+//! the content-addressed cache's two hit paths. Three measurements, all
+//! in points/sec over the same grid:
 //!
 //! - **cold** — every point freshly simulated through the shared
 //!   work-stealing pool (an empty cache directory).
@@ -15,20 +15,15 @@
 //!   path with the hot tier resident: one `stat` revalidation, zero
 //!   reads, zero decodes. CI gates on `warm_speedup = warm-hot /
 //!   warm-disk` staying ≥ 5×.
-//! - **coalesced** — four concurrent campaigns submitting the *same*
-//!   grid to one engine against a fresh directory; the in-flight table
-//!   must hand one campaign's simulation to the other three, so the
-//!   aggregate completes ~4× the points with ~1× the simulation work.
 //!
 //! Results go to stdout (human-readable) and `BENCH_campaign.json`
 //! (`MN_BENCH_OUT` to relocate) so CI can archive the throughput
 //! trajectory per-PR and show regressions as a diff, not an anecdote.
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
-use mn_campaign::{jobs_from_env, Campaign, CampaignPoint, DiskCache, Engine};
+use mn_campaign::{jobs_from_env, Campaign, CampaignPoint, DiskCache};
 use mn_core::SystemConfig;
 use mn_telemetry::registry;
 use mn_topo::TopologyKind;
@@ -77,11 +72,7 @@ fn main() {
 
     // --- cold: fresh simulation through the work-stealing pool ---------
     let cold_dir = scratch.join("cold");
-    let engine = Arc::new(Engine::new(jobs));
-    let campaign = Campaign::new(jobs)
-        .quiet()
-        .cache_dir(&cold_dir)
-        .on_engine(Arc::clone(&engine));
+    let campaign = Campaign::new(jobs).quiet().cache_dir(&cold_dir);
     let start = Instant::now();
     let outcome = campaign.run(points.clone());
     let cold_secs = start.elapsed().as_secs_f64();
@@ -156,40 +147,6 @@ fn main() {
     let warm_hot_on_rate = f64::from(pairs) * n as f64 / on_secs;
     let metrics_overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
 
-    // --- coalesced: 4 concurrent campaigns, one engine, one grid --------
-    let coalesce_dir = scratch.join("coalesced");
-    let submitters = 4usize;
-    let start = Instant::now();
-    let (coalesced_served, total_fresh) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..submitters)
-            .map(|_| {
-                let engine = Arc::clone(&engine);
-                let points = points.clone();
-                let dir = coalesce_dir.clone();
-                scope.spawn(move || {
-                    Campaign::new(jobs)
-                        .quiet()
-                        .cache_dir(dir)
-                        .on_engine(engine)
-                        .run(points)
-                        .summary
-                })
-            })
-            .collect();
-        let before = engine.coalesced_served();
-        let mut fresh = 0usize;
-        for handle in handles {
-            fresh += handle.join().expect("submitter panicked").fresh;
-        }
-        (engine.coalesced_served() - before, fresh)
-    });
-    let coalesced_secs = start.elapsed().as_secs_f64();
-    let coalesced_rate = (n * submitters) as f64 / coalesced_secs;
-    assert!(
-        total_fresh <= n,
-        "coalescing must keep distinct simulations at {n}, saw {total_fresh} fresh"
-    );
-
     let _ = std::fs::remove_dir_all(&scratch);
 
     println!("available cores: {available_cores}  workers: {jobs}  grid: {n} points");
@@ -202,15 +159,10 @@ fn main() {
         ("warm-disk", warm_disk_rate),
         ("warm-hot", warm_hot_rate),
         ("warm-hot+mtr", warm_hot_on_rate),
-        ("coalesced", coalesced_rate),
     ] {
         println!("{:<14} {:>14.0} {:>11.1}x", name, rate, rate / cold_rate);
     }
-    println!(
-        "warm speedup (hot vs read+decode): {warm_speedup:.1}x   \
-         coalesced served: {coalesced_served} of {} waiter points",
-        n * (submitters - 1)
-    );
+    println!("warm speedup (hot vs read+decode): {warm_speedup:.1}x");
     println!("metrics-on overhead on the warm-hot path: {metrics_overhead_pct:.2}%");
 
     let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| "BENCH_campaign.json".to_string());
@@ -229,10 +181,7 @@ fn main() {
         json,
         "  \"metrics_overhead_warm_hot_pct\": {metrics_overhead_pct:.2},"
     );
-    let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2},");
-    let _ = writeln!(json, "  \"coalesced_points_per_sec\": {coalesced_rate:.0},");
-    let _ = writeln!(json, "  \"coalesced_served\": {coalesced_served},");
-    let _ = writeln!(json, "  \"coalesced_submitters\": {submitters}");
+    let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2}");
     json.push_str("}\n");
     if let Err(err) = std::fs::write(&out, &json) {
         eprintln!("warning: could not write {out}: {err}");

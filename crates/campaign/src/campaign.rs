@@ -1,7 +1,7 @@
 //! The deterministic campaign front-end.
 //!
 //! A [`Campaign`] takes a list of [`CampaignPoint`]s and produces one
-//! [`PointOutcome`] per point, in input order, with five guarantees:
+//! [`PointOutcome`] per point, in input order, with four guarantees:
 //!
 //! 1. **Bit-identical to serial.** Points never share mutable state — each
 //!    carries its own seed inside its config, and `mn_core::simulate_port`
@@ -18,13 +18,7 @@
 //! 3. **Finished points are cached.** With a [`DiskCache`] attached,
 //!    points are served from disk when a prior run — this figure binary or
 //!    any other — already simulated them.
-//! 4. **Concurrent campaigns coalesce.** Campaigns submitted to the same
-//!    [`Engine`] (all `from_env` campaigns share the process-global one)
-//!    claim each point in an in-flight table before probing the cache:
-//!    the first claimant simulates and journals, later claimants wait and
-//!    receive the completed result, so N overlapping grids cost one
-//!    simulation per unique point (`tests/concurrent.rs` pins this).
-//! 5. **Failures are contained and recovered.** A panicking point is
+//! 4. **Failures are contained and recovered.** A panicking point is
 //!    caught at the worker loop and becomes a structured
 //!    [`CampaignError::PointPanicked`] record; retryable failures
 //!    (stalls, lost workers, caught panics) are re-dispatched up to the
@@ -44,10 +38,10 @@ use mn_telemetry::registry;
 
 use crate::cache::{cache_disabled_by_env, default_cache_dir, DiskCache};
 use crate::chaos::ChaosPlan;
-use crate::engine::{Claim, Delivery, Engine, Job};
+use crate::engine::{Delivery, Engine, Job};
 use crate::env::{
-    coalesce_from_env, jobs_from_env, metrics_file_from_env, metrics_interval_from_env,
-    resume_from_env, retries_from_env,
+    jobs_from_env, metrics_file_from_env, metrics_interval_from_env, resume_from_env,
+    retries_from_env,
 };
 use crate::error::CampaignError;
 use crate::journal::{self, RunJournal};
@@ -59,22 +53,17 @@ use crate::report::{CampaignSummary, Progress};
 pub struct PointOutcome {
     /// The point that was executed.
     pub point: CampaignPoint,
-    /// Its simulation result (fresh, from cache, replayed from a resume
-    /// journal, or coalesced from a concurrent campaign), or why this
-    /// point has none. A failed point never aborts the grid: the other
+    /// Its simulation result (fresh, from cache, or replayed from a
+    /// resume journal), or why this point has none. A failed point never aborts the grid: the other
     /// points complete and the error travels with its point.
     pub result: Result<RunResult, CampaignError>,
     /// True when the result came from disk — the result cache or a
     /// resume journal — rather than a fresh simulation.
     pub cached: bool,
-    /// True when a concurrent campaign owned this point's simulation and
-    /// this campaign received the completed result from the in-flight
-    /// table instead of simulating (or reading disk) itself.
-    pub coalesced: bool,
     /// Simulation attempts this run spent on the point: 0 for cache
     /// hits and folded duplicates, 1 for a clean first run, more when
-    /// retryable failures earned re-dispatches. Replayed and coalesced
-    /// points report the attempts the owning run recorded.
+    /// retryable failures earned re-dispatches. Replayed points report
+    /// the attempts the journaling run recorded.
     pub attempts: u32,
     /// Host wall-clock spent obtaining this result (near zero for cache
     /// hits and folded duplicates).
@@ -129,7 +118,6 @@ pub struct Campaign {
     retries: u32,
     journal: Option<PathBuf>,
     chaos: Option<ChaosPlan>,
-    coalesce: bool,
     engine: OnceLock<Arc<Engine>>,
 }
 
@@ -137,11 +125,10 @@ impl Campaign {
     /// The environment-driven campaign every figure binary uses: the
     /// process-global [`Engine`] sized by `MN_JOBS` (default: available
     /// parallelism), the default cache directory (`results/cache/`,
-    /// `MN_CACHE_DIR` to move it, `MN_CACHE=off` to disable, with an
-    /// `MN_CACHE_BUDGET` eviction budget), the `MN_RETRIES` retry budget
-    /// (default 2), cross-campaign coalescing (`MN_COALESCE=off` to
-    /// disable), an `MN_RESUME` journal when set, and — for harness
-    /// testing only — `MN_CHAOS_RATE`/`MN_CHAOS_SEED` fault injection.
+    /// `MN_CACHE_DIR` to move it, `MN_CACHE=off` to disable), the
+    /// `MN_RETRIES` retry budget (default 2), an `MN_RESUME` journal when
+    /// set, and — for harness testing only — `MN_CHAOS_RATE`/
+    /// `MN_CHAOS_SEED` fault injection.
     pub fn from_env() -> Campaign {
         // Pin the metrics gate through the validating reader so a
         // malformed MN_METRICS warns once instead of being silently
@@ -151,7 +138,6 @@ impl Campaign {
         campaign.retries = retries_from_env();
         campaign.journal = resume_from_env();
         campaign.chaos = ChaosPlan::from_env();
-        campaign.coalesce = coalesce_from_env();
         let _ = campaign.engine.set(Engine::global());
         if cache_disabled_by_env() {
             campaign
@@ -173,7 +159,6 @@ impl Campaign {
             retries: 0,
             journal: None,
             chaos: None,
-            coalesce: true,
             engine: OnceLock::new(),
         }
     }
@@ -231,7 +216,6 @@ impl Campaign {
             retries: self.retries,
             journal: Some(path.into()),
             chaos: self.chaos,
-            coalesce: self.coalesce,
             engine,
         }
     }
@@ -246,9 +230,8 @@ impl Campaign {
     }
 
     /// Runs this campaign on `engine` instead of a private pool, so
-    /// concurrent campaigns share workers and coalesce overlapping
-    /// points. [`Campaign::from_env`] attaches [`Engine::global`]
-    /// automatically.
+    /// concurrent campaigns share workers. [`Campaign::from_env`]
+    /// attaches [`Engine::global`] automatically.
     pub fn on_engine(self, engine: Arc<Engine>) -> Campaign {
         let slot = OnceLock::new();
         let _ = slot.set(engine);
@@ -256,14 +239,6 @@ impl Campaign {
             engine: slot,
             ..self
         }
-    }
-
-    /// Disables cross-campaign coalescing for this campaign: it never
-    /// claims points in the engine's in-flight table and never waits on
-    /// another campaign's simulation.
-    pub fn no_coalesce(mut self) -> Campaign {
-        self.coalesce = false;
-        self
     }
 
     /// The configured worker count.
@@ -314,9 +289,8 @@ impl Campaign {
             canonical.push(slot);
         }
         let fingerprints: Vec<String> = unique.iter().map(|p| p.fingerprint()).collect();
-        // Chaos panic decisions and the coalescing table key on
-        // scheduling-independent identities of the point, never on
-        // dispatch order.
+        // Chaos panic decisions key on a scheduling-independent identity
+        // of the point, never on dispatch order.
         let cache_keys: Vec<String> = unique.iter().map(|p| p.cache_key()).collect();
         let key_hashes: Vec<u64> = cache_keys.iter().map(|k| fnv1a64(k.as_bytes())).collect();
 
@@ -339,8 +313,9 @@ impl Campaign {
 
         // Chaos strikes the durable state first — litter the cache
         // directory with stale temp files, tear the journal tail — so
-        // the sweep and the torn-tail-tolerant replay below are the code
-        // paths that actually run under test.
+        // the sweep (on this process's first use of the directory) and
+        // the torn-tail-tolerant replay below are the code paths that
+        // actually run under test.
         if let Some(chaos) = self.chaos {
             if let Some(cache) = &self.cache {
                 chaos.litter_cache_dir(cache.dir());
@@ -387,7 +362,6 @@ impl Campaign {
             result: Result<RunResult, CampaignError>,
             cached: bool,
             resumed: bool,
-            coalesced: bool,
             attempts: u32,
             host: Duration,
         }
@@ -399,62 +373,16 @@ impl Campaign {
                     result: Ok(done.result.clone()),
                     cached: true,
                     resumed: true,
-                    coalesced: false,
                     attempts: done.attempts,
                     host: Duration::ZERO,
                 });
             }
         }
 
-        let engine = self.engine_handle();
-        let (tx, rx) = mpsc::channel::<Delivery>();
-
-        // Claim every outstanding point in the engine's in-flight table
-        // *before* probing the cache, then probe only the points this
-        // campaign owns. The claim-first order is what makes concurrent
-        // overlapping campaigns exactly-once: a waiter never races the
-        // owner's store, because the owner settles the claim only after
-        // the result is durably in the cache (or failed).
-        //
-        // The guard settles every still-open claim on exit — including
-        // the unwinding path — so waiters in other campaigns observe a
-        // structured error instead of deadlocking on a vanished owner.
-        struct ClaimGuard<'e> {
-            engine: &'e Engine,
-            open: HashMap<usize, String>,
-        }
-        impl Drop for ClaimGuard<'_> {
-            fn drop(&mut self) {
-                for fp in self.open.values() {
-                    let lost = Err(CampaignError::LostWorker {
-                        landed: 0,
-                        expected: 0,
-                    });
-                    self.engine.settle(fp, &lost, 0);
-                }
-            }
-        }
-        let mut guard = ClaimGuard {
-            engine: &engine,
-            open: HashMap::new(),
-        };
-
-        let mut waiting = 0usize;
         let mut misses: Vec<usize> = Vec::new();
         for i in 0..unique.len() {
             if slots[i].is_some() {
                 continue; // already replayed from the journal
-            }
-            if self.coalesce {
-                match engine.claim(&fingerprints[i], &tx, i) {
-                    Claim::Owner => {
-                        guard.open.insert(i, fingerprints[i].clone());
-                    }
-                    Claim::Waiter => {
-                        waiting += 1;
-                        continue;
-                    }
-                }
             }
             // Probe the cache (cheap, I/O-bound) so only true misses are
             // fanned out to the workers. Chaos may damage an entry
@@ -467,24 +395,15 @@ impl Campaign {
                 let start = Instant::now();
                 if let Some(result) = cache.load_keyed(&fingerprints[i], &cache_keys[i]) {
                     progress.tick(true);
-                    let result = Ok(result);
-                    if let Some(fp) = guard.open.remove(&i) {
-                        engine.settle(&fp, &result, 0);
-                    }
                     slots[i] = Some(Filled {
-                        result,
+                        result: Ok(result),
                         cached: true,
                         resumed: false,
-                        coalesced: false,
                         attempts: 0,
                         host: start.elapsed(),
                     });
                     continue;
                 }
-                // A miss this campaign will simulate: protect its entry
-                // from LRU eviction until the process exits (in-flight
-                // and just-written entries are never evicted).
-                cache.protect(&cache_keys[i]);
             }
             misses.push(i);
         }
@@ -506,6 +425,8 @@ impl Campaign {
                 journal.start(&fingerprints[i], &cache_keys[i]);
             }
         }
+        let engine = self.engine_handle();
+        let (tx, rx) = mpsc::channel::<Delivery>();
         let retries = self.retries;
         let chaos = self.chaos;
         let job = |slot: usize, port: u32, attempt: u32| Job {
@@ -523,7 +444,7 @@ impl Campaign {
             .flat_map(|&i| (0..port_count(&unique[i].config)).map(move |port| job(i, port, 0)))
             .collect();
         let mut outstanding = initial.len();
-        let jobs = self.jobs.min(outstanding.max(waiting)).max(1);
+        let jobs = self.jobs.min(outstanding).max(1);
         engine.submit(initial);
 
         // Gather deliveries; a point settles — merged and cached, or
@@ -538,9 +459,9 @@ impl Campaign {
             pending: usize,
             attempt: u32,
             host: Duration,
-            // Claim-to-settle span start (None with metrics off): feeds
-            // the `point.resolve` span and the resolve/settle latency
-            // histograms when the point lands.
+            // Dispatch-to-settle span start (None with metrics off):
+            // feeds the `point.resolve` span and the resolve latency
+            // histogram when the point lands.
             span: Option<Instant>,
         }
         let mut gathering: HashMap<usize, Gather> = misses
@@ -560,41 +481,15 @@ impl Campaign {
                 )
             })
             .collect();
-        while outstanding > 0 || waiting > 0 {
-            let Ok(delivery) = rx.recv() else {
+        while outstanding > 0 {
+            let Ok(Delivery {
+                slot,
+                port,
+                outcome,
+                host,
+            }) = rx.recv()
+            else {
                 break; // workers died; leftovers become LostWorker
-            };
-            let (slot, port, outcome, host) = match delivery {
-                Delivery::Coalesced {
-                    slot,
-                    result,
-                    attempts,
-                } => {
-                    // A concurrent campaign owned this point and settled
-                    // it (simulated, stored to cache, journaled). Record
-                    // the coalesced hit; the journal marker lets a
-                    // resumed run see this point was served externally.
-                    waiting -= 1;
-                    progress.tick(true);
-                    if let Some(journal) = &journal {
-                        journal.coalesced(&fingerprints[slot]);
-                    }
-                    slots[slot] = Some(Filled {
-                        result: *result,
-                        cached: false,
-                        resumed: false,
-                        coalesced: true,
-                        attempts,
-                        host: Duration::ZERO,
-                    });
-                    continue;
-                }
-                Delivery::Port {
-                    slot,
-                    port,
-                    outcome,
-                    host,
-                } => (slot, port, outcome, host),
             };
             outstanding -= 1;
             let gather = gathering.get_mut(&slot).expect("point is gathering");
@@ -635,18 +530,6 @@ impl Campaign {
                     if let Some(journal) = &journal {
                         journal.done(&fingerprints[slot], attempts, &result);
                     }
-                    // Settle only after the result is stored and
-                    // journaled: a waiter that resumes later must find
-                    // the entry on disk.
-                    let result = Ok(result);
-                    if let Some(fp) = guard.open.remove(&slot) {
-                        engine.settle(&fp, &result, attempts);
-                        if let Some(start) = gather.span {
-                            registry::metrics()
-                                .coalesce_settle_latency_us
-                                .observe_since(start);
-                        }
-                    }
                     if let Some(start) = gather.span {
                         registry::metrics()
                             .point_resolve_latency_us
@@ -655,10 +538,9 @@ impl Campaign {
                     registry::span_end(gather.span, "campaign", "point.resolve");
                     progress.tick(false);
                     slots[slot] = Some(Filled {
-                        result,
+                        result: Ok(result),
                         cached: false,
                         resumed: false,
-                        coalesced: false,
                         attempts,
                         host: gather.host,
                     });
@@ -666,8 +548,7 @@ impl Campaign {
                 Some(error) if error.is_retryable() && gather.attempt < retries => {
                     // Re-dispatch the whole point: a fresh attempt
                     // for every port, so the retried run is the same
-                    // computation a clean run would perform. The claim
-                    // stays open — waiters wait out the retries.
+                    // computation a clean run would perform.
                     let attempt = gather.attempt + 1;
                     registry::metrics().engine_retry_attempts.inc();
                     if let Some(journal) = &journal {
@@ -687,17 +568,12 @@ impl Campaign {
                     if let Some(journal) = &journal {
                         journal.failed(&fingerprints[slot], attempts, &error.to_string());
                     }
-                    let result = Err(error);
-                    if let Some(fp) = guard.open.remove(&slot) {
-                        engine.settle(&fp, &result, attempts);
-                    }
                     registry::span_end(gather.span, "campaign", "point.resolve");
                     progress.tick(false);
                     slots[slot] = Some(Filled {
-                        result,
+                        result: Err(error),
                         cached: false,
                         resumed: false,
-                        coalesced: false,
                         attempts,
                         host: gather.host,
                     });
@@ -707,8 +583,7 @@ impl Campaign {
 
         // The channel closed with points still gathering: a worker
         // died without delivering its jobs. Report each such point as
-        // lost instead of panicking away the rest of the grid. (The
-        // guard's Drop settles their claims.)
+        // lost instead of panicking away the rest of the grid.
         for (i, gather) in gathering {
             let landed = gather.obs.iter().filter(|o| o.is_some()).count();
             let expected = gather.obs.len();
@@ -717,28 +592,22 @@ impl Campaign {
                 result: Err(CampaignError::LostWorker { landed, expected }),
                 cached: false,
                 resumed: false,
-                coalesced: false,
                 attempts: gather.attempt + 1,
                 host: gather.host,
             });
         }
-        drop(guard);
 
         let filled = slots.iter().flatten();
         let resumed = filled.clone().filter(|f| f.resumed).count();
-        let cache_hits = filled
-            .clone()
-            .filter(|f| f.cached && !f.resumed && !f.coalesced)
-            .count();
-        let coalesced = filled.clone().filter(|f| f.coalesced).count();
+        let cache_hits = filled.clone().filter(|f| f.cached && !f.resumed).count();
         let failed = filled.clone().filter(|f| f.result.is_err()).count();
         let retried = filled
             .clone()
-            .filter(|f| !f.cached && !f.coalesced && f.attempts > 1)
+            .filter(|f| !f.cached && f.attempts > 1)
             .count();
         let fresh_requests = filled
             .clone()
-            .filter(|f| !f.cached && !f.coalesced)
+            .filter(|f| !f.cached)
             .filter_map(|f| f.result.as_ref().ok())
             .map(|r| r.reads + r.writes)
             .sum();
@@ -746,20 +615,18 @@ impl Campaign {
             total,
             unique: unique.len(),
             cache_hits,
-            fresh: unique.len() - cache_hits - resumed - coalesced,
+            fresh: unique.len() - cache_hits - resumed,
             failed,
             jobs,
             host_wall: progress.started().elapsed(),
             fresh_requests,
             resumed,
             retried,
-            coalesced,
         };
         progress.finish(&summary);
         if let Some(cache) = &self.cache {
             // Fold this run's activity into the directory's lifetime
             // counters (best-effort; `mncube cache stats` reads them).
-            cache.note_coalesced(coalesced as u64);
             cache.persist_counters();
         }
         registry::span_end(run_span, "campaign", "campaign.run");
@@ -781,7 +648,6 @@ impl Campaign {
                     }),
                     cached: false,
                     resumed: false,
-                    coalesced: false,
                     attempts: 0,
                     host: Duration::ZERO,
                 })
@@ -796,7 +662,6 @@ impl Campaign {
                     point,
                     result: filled.result,
                     cached: filled.cached,
-                    coalesced: filled.coalesced,
                     attempts: filled.attempts,
                     host: filled.host,
                 }
@@ -834,7 +699,6 @@ mod tests {
         assert_eq!(outcome.summary.fresh, 3);
         assert_eq!(outcome.summary.retried, 0);
         assert_eq!(outcome.summary.resumed, 0);
-        assert_eq!(outcome.summary.coalesced, 0);
         let labels: Vec<&str> = outcome
             .outcomes
             .iter()
@@ -1033,10 +897,10 @@ mod tests {
     }
 
     #[test]
-    fn campaigns_sharing_an_engine_coalesce_overlapping_points() {
+    fn campaigns_sharing_an_engine_agree_with_serial() {
         // Two campaigns on one engine, overlapping on one point, no
-        // cache: the owner simulates, the waiter coalesces, and both see
-        // identical bytes. Ownership is a race, so assert on the pair.
+        // cache: each simulates its own points on the shared pool, and
+        // both see the serial run's bytes.
         let engine = Arc::new(Engine::new(2));
         let shared = || tiny(TopologyKind::Chain, 81);
         let solo = tiny(TopologyKind::Tree, 82);
@@ -1060,15 +924,7 @@ mod tests {
             });
             (a.join().unwrap(), b.join().unwrap())
         });
-        let total_coalesced = a.summary.coalesced + b.summary.coalesced;
-        let total_fresh = a.summary.fresh + b.summary.fresh;
-        // The shared point was simulated by exactly one campaign; the
-        // solo point always simulates fresh. Whether the overlap
-        // coalesced depends on timing (the campaigns may not overlap at
-        // all on a slow machine), but exactly-once must hold whenever
-        // they did.
-        assert_eq!(engine.coalesced_served(), total_coalesced as u64);
-        assert_eq!(total_fresh + total_coalesced, 3);
+        assert_eq!(a.summary.fresh + b.summary.fresh, 3);
         for outcome in a.outcomes.iter().chain(&b.outcomes) {
             if outcome.point.config.topology == TopologyKind::Chain {
                 assert_eq!(

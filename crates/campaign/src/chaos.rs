@@ -106,7 +106,8 @@ impl ChaosPlan {
     }
 
     /// Litters `dir` with stale `.*.tmp` files mimicking a killed run's
-    /// leaked temp files, which the cache's open-time sweep must remove.
+    /// leaked temp files, which the cache's sweep (once per directory
+    /// per process, on first use) must remove.
     pub fn litter_cache_dir(self, dir: &Path) {
         if !self.chance(DOMAIN_LITTER, 0) {
             return;

@@ -1,7 +1,7 @@
 //! The shared work-stealing execution engine.
 //!
 //! One [`Engine`] multiplexes `(point, port)` jobs from any number of
-//! concurrently submitted campaigns across a single worker pool. Three
+//! concurrently submitted campaigns across a single worker pool. Two
 //! properties make it safe to share:
 //!
 //! 1. **Work stealing, not work ordering.** Each worker owns a deque;
@@ -16,24 +16,19 @@
 //!    configurations coexist on one pool. The queue is refillable: a
 //!    gatherer pushes fresh attempts for retried points into the same
 //!    injector.
-//! 3. **Cross-campaign coalescing.** An in-flight table keyed by the full
-//!    point fingerprint makes N concurrent campaigns asking for the same
-//!    point cost one simulation: the first claimant becomes the *owner*
-//!    (simulates, journals, stores to cache), later claimants become
-//!    *waiters* and receive the completed result through their own reply
-//!    channel when the owner settles.
 //!
-//! Workers are spawned lazily on first submission and exit when the last
-//! [`Engine`] handle is dropped (the queue is closed) — a parked pool
-//! costs nothing but stack pages, so the process-wide
-//! [`Engine::global`] can live for the whole process, serving-stack
-//! style.
+//! Workers are spawned lazily on first submission. Dropping the
+//! [`Engine`] closes the queue and joins every worker, so no worker of a
+//! dropped engine can still touch a process-global metric. A parked pool
+//! costs nothing but stack pages, so the process-wide [`Engine::global`]
+//! can live for the whole process.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mn_core::{try_simulate_port, PortObservation, RunResult};
+use mn_core::{try_simulate_port, PortObservation};
 use mn_telemetry::registry::{self, Counter};
 
 use crate::chaos::ChaosPlan;
@@ -49,38 +44,17 @@ const IDLE_RESCAN: Duration = Duration::from_millis(50);
 /// Small enough that an unlucky grab is cheap to steal back from.
 const CHUNK_MAX: usize = 32;
 
-/// What the engine delivers to a submission's reply channel.
-///
-/// `Port` dominates the enum's size (a `PortObservation` inline), and
-/// that is deliberate: it is sent once per `(point, port)` job, and
-/// boxing it would buy a smaller message at the price of a heap
-/// round-trip on the hottest path in the engine. `Coalesced` is already
-/// boxed — it is rare and carries a whole `RunResult`.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum Delivery {
-    /// One port of one attempt finished (successfully or not).
-    Port {
-        /// The submission-local slot (index into its unique points).
-        slot: usize,
-        /// Which port landed.
-        port: u32,
-        /// Wall-clock the worker spent on this job.
-        host: Duration,
-        /// The observation, or why there is none.
-        outcome: Result<PortObservation, CampaignError>,
-    },
-    /// Another campaign owned this point and settled it; this is the
-    /// coalesced whole-point result for a waiter. Boxed so the rare
-    /// coalesced delivery, not every per-port reply, pays for the full
-    /// `RunResult`'s footprint in the channel message.
-    Coalesced {
-        /// The waiter's submission-local slot.
-        slot: usize,
-        /// The owner's settled result (shared verbatim).
-        result: Box<Result<RunResult, CampaignError>>,
-        /// Attempts the owner spent.
-        attempts: u32,
-    },
+/// What the engine delivers to a submission's reply channel: one port
+/// of one attempt finished (successfully or not).
+pub(crate) struct Delivery {
+    /// The submission-local slot (index into its unique points).
+    pub(crate) slot: usize,
+    /// Which port landed.
+    pub(crate) port: u32,
+    /// Wall-clock the worker spent on this job.
+    pub(crate) host: Duration,
+    /// The observation, or why there is none.
+    pub(crate) outcome: Result<PortObservation, CampaignError>,
 }
 
 /// One schedulable unit: a single port of a single point attempt,
@@ -98,26 +72,13 @@ pub(crate) struct Job {
     pub(crate) reply: mpsc::Sender<Delivery>,
 }
 
-/// The answer to an in-flight claim.
-pub(crate) enum Claim {
-    /// This submission owns the point: it probes the cache, dispatches,
-    /// journals, and must eventually [`Engine::settle`] it.
-    Owner,
-    /// Another live submission owns the point; the result will arrive as
-    /// a [`Delivery::Coalesced`] on the reply channel given to claim.
-    Waiter,
-}
-
-struct InflightWaiter {
-    reply: mpsc::Sender<Delivery>,
-    slot: usize,
-}
-
 /// The injector: submissions push here; workers refill from it.
 struct Injector {
     queue: VecDeque<Job>,
     closed: bool,
-    spawned: bool,
+    /// The spawned workers (empty until the first submission); joined
+    /// when the engine drops.
+    handles: Vec<JoinHandle<()>>,
 }
 
 struct Core {
@@ -125,20 +86,17 @@ struct Core {
     injector: Mutex<Injector>,
     ready: Condvar,
     deques: Vec<Mutex<VecDeque<Job>>>,
-    inflight: Mutex<HashMap<String, Vec<InflightWaiter>>>,
-    /// Lifetime totals, on the mn-metrics [`Counter`] type (always-on:
-    /// the atomic add *is* the pre-registry baseline) so campaign
-    /// summaries, the concurrency tests, and the Prometheus export all
-    /// read one source of truth. Per-engine, not global — tests and
-    /// benches build private pools and assert on their counts.
-    coalesced_served: Counter,
+    /// Lifetime jobs executed, on the mn-metrics [`Counter`] type
+    /// (always-on: the atomic add *is* the pre-registry baseline) so the
+    /// tests and the Prometheus export read one source of truth.
+    /// Per-engine, not global — tests and benches build private pools
+    /// and assert on their counts.
     executed: Counter,
 }
 
-/// A shared work-stealing worker pool with an in-flight coalescing
-/// table. Cheap to create (workers spawn on first submission) and safe
-/// to share across threads behind an `Arc`; dropping the handle closes
-/// the pool.
+/// A shared work-stealing worker pool. Cheap to create (workers spawn
+/// on first submission) and safe to share across threads behind an
+/// `Arc`; dropping the handle closes the pool and joins its workers.
 pub struct Engine {
     core: Arc<Core>,
 }
@@ -148,7 +106,6 @@ impl std::fmt::Debug for Engine {
         f.debug_struct("Engine")
             .field("workers", &self.core.workers)
             .field("executed", &self.core.executed.get())
-            .field("coalesced_served", &self.core.coalesced_served.get())
             .finish()
     }
 }
@@ -164,12 +121,10 @@ impl Engine {
                 injector: Mutex::new(Injector {
                     queue: VecDeque::new(),
                     closed: false,
-                    spawned: false,
+                    handles: Vec::new(),
                 }),
                 ready: Condvar::new(),
                 deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-                inflight: Mutex::new(HashMap::new()),
-                coalesced_served: Counter::new(),
                 executed: Counter::new(),
             }),
         }
@@ -178,7 +133,7 @@ impl Engine {
     /// The process-wide shared engine, sized by `MN_JOBS` (or available
     /// parallelism) at first use. Every [`Campaign::from_env`] campaign
     /// submits here, so concurrent campaigns in one process share one
-    /// worker pool and one in-flight table.
+    /// worker pool.
     ///
     /// [`Campaign::from_env`]: crate::Campaign::from_env
     pub fn global() -> Arc<Engine> {
@@ -199,12 +154,6 @@ impl Engine {
                         "Jobs executed by the shared engine since process start.",
                         &[("pool", "global", core.executed.get())],
                     );
-                    registry::render_labeled_counters(
-                        out,
-                        "mn_engine_coalesced_served_total",
-                        "Coalesced results the shared engine served to waiters.",
-                        &[("pool", "global", core.coalesced_served.get())],
-                    );
                 });
                 engine
             })
@@ -221,13 +170,6 @@ impl Engine {
         self.core.executed.get()
     }
 
-    /// Total coalesced results served to waiters since the engine was
-    /// created. The concurrent-submitter tests assert on this: shared
-    /// points cost one simulation, everyone else coalesces.
-    pub fn coalesced_served(&self) -> u64 {
-        self.core.coalesced_served.get()
-    }
-
     /// Submits jobs to the injector, spawning the worker pool on first
     /// use. Called both for a campaign's initial fan-out and for retry
     /// refills.
@@ -237,94 +179,45 @@ impl Engine {
         if injector.queue.is_empty() {
             return;
         }
-        if !injector.spawned {
-            injector.spawned = true;
+        if injector.handles.is_empty() {
             for index in 0..self.core.workers {
                 let core = Arc::clone(&self.core);
                 let spawned = std::thread::Builder::new()
                     .name(format!("mn-engine-{index}"))
                     .spawn(move || worker_loop(&core, index));
-                if let Err(err) = spawned {
+                match spawned {
+                    Ok(handle) => injector.handles.push(handle),
                     // A thread that failed to spawn is a smaller pool,
                     // not a lost job: any live worker drains the shared
                     // injector. Worker 0 must exist for progress.
-                    if index == 0 {
-                        panic!("mn-engine: could not spawn worker 0: {err}");
+                    Err(err) if index == 0 => {
+                        panic!("mn-engine: could not spawn worker 0: {err}")
                     }
-                    eprintln!("warning: mn-engine worker {index} did not spawn: {err}");
+                    Err(err) => {
+                        eprintln!("warning: mn-engine worker {index} did not spawn: {err}")
+                    }
                 }
             }
         }
         drop(injector);
         self.core.ready.notify_all();
     }
-
-    /// Claims a fingerprint in the in-flight table. The first claimant
-    /// per fingerprint becomes the [`Claim::Owner`]; concurrent
-    /// claimants register `(reply, slot)` and become [`Claim::Waiter`]s
-    /// until the owner settles.
-    pub(crate) fn claim(
-        &self,
-        fingerprint: &str,
-        reply: &mpsc::Sender<Delivery>,
-        slot: usize,
-    ) -> Claim {
-        use std::collections::hash_map::Entry;
-        let mut inflight = lock(&self.core.inflight);
-        match inflight.entry(fingerprint.to_string()) {
-            Entry::Vacant(vacant) => {
-                vacant.insert(Vec::new());
-                registry::metrics().coalesce_owner_claims.inc();
-                Claim::Owner
-            }
-            Entry::Occupied(mut occupied) => {
-                occupied.get_mut().push(InflightWaiter {
-                    reply: reply.clone(),
-                    slot,
-                });
-                registry::metrics().coalesce_waiter_claims.inc();
-                Claim::Waiter
-            }
-        }
-    }
-
-    /// Settles an owned fingerprint: removes the in-flight entry and
-    /// delivers the result to every registered waiter. Returns how many
-    /// waiters were served. The owner calls this for every point it
-    /// claimed — on fresh completion, on failure, and on the
-    /// cache-hit-after-claim path — so waiters can never deadlock on a
-    /// live owner.
-    pub(crate) fn settle(
-        &self,
-        fingerprint: &str,
-        result: &Result<RunResult, CampaignError>,
-        attempts: u32,
-    ) -> usize {
-        let waiters = lock(&self.core.inflight)
-            .remove(fingerprint)
-            .unwrap_or_default();
-        let served = waiters.len();
-        self.core.coalesced_served.add_always(served as u64);
-        registry::metrics()
-            .coalesce_waiters_served
-            .add(served as u64);
-        for waiter in waiters {
-            let _ = waiter.reply.send(Delivery::Coalesced {
-                slot: waiter.slot,
-                result: Box::new(result.clone()),
-                attempts,
-            });
-        }
-        served
-    }
 }
 
 impl Drop for Engine {
+    /// Closes the queue, then joins every worker: they drain what is
+    /// left and exit, so nothing of this engine runs after the drop.
     fn drop(&mut self) {
         let mut injector = lock(&self.core.injector);
         injector.closed = true;
+        let handles = std::mem::take(&mut injector.handles);
         drop(injector);
         self.core.ready.notify_all();
+        for handle in handles {
+            // A worker's own panics are caught per job; a join error
+            // would be a panic in the loop itself, already reported.
+            let _ = handle.join();
+        }
     }
 }
 
@@ -488,7 +381,7 @@ fn execute(core: &Core, job: Job) {
     core.executed.inc_always();
     // A dropped receiver means the submission is gone (its campaign
     // already returned); the result is simply discarded.
-    let _ = job.reply.send(Delivery::Port {
+    let _ = job.reply.send(Delivery {
         slot: job.slot,
         port: job.port,
         host: start.elapsed(),
@@ -545,13 +438,8 @@ mod tests {
         engine.submit((0..ports).map(|port| job_for(&point, port, &tx)));
         let mut landed = 0;
         for _ in 0..ports {
-            match rx.recv().unwrap() {
-                Delivery::Port { outcome, .. } => {
-                    assert!(outcome.is_ok());
-                    landed += 1;
-                }
-                Delivery::Coalesced { .. } => panic!("nothing was claimed"),
-            }
+            assert!(rx.recv().unwrap().outcome.is_ok());
+            landed += 1;
         }
         assert_eq!(landed, ports);
         assert_eq!(engine.jobs_executed(), u64::from(ports));
@@ -572,50 +460,9 @@ mod tests {
         }));
         let expected = points.len() * ports as usize;
         for _ in 0..expected {
-            let Delivery::Port { outcome, .. } = rx.recv().unwrap() else {
-                panic!("nothing was claimed");
-            };
-            assert!(outcome.is_ok());
+            assert!(rx.recv().unwrap().outcome.is_ok());
         }
         assert_eq!(engine.jobs_executed(), expected as u64);
-    }
-
-    #[test]
-    fn claim_and_settle_deliver_to_waiters() {
-        let engine = Engine::new(1);
-        let (owner_tx, _owner_rx) = mpsc::channel();
-        let (waiter_tx, waiter_rx) = mpsc::channel();
-        let fp = "some-fingerprint";
-        assert!(matches!(engine.claim(fp, &owner_tx, 0), Claim::Owner));
-        assert!(matches!(engine.claim(fp, &waiter_tx, 3), Claim::Waiter));
-        assert!(matches!(engine.claim(fp, &waiter_tx, 5), Claim::Waiter));
-
-        let result = Err(CampaignError::LostWorker {
-            landed: 0,
-            expected: 1,
-        });
-        assert_eq!(engine.settle(fp, &result, 2), 2);
-        assert_eq!(engine.coalesced_served(), 2);
-        let mut slots = Vec::new();
-        for _ in 0..2 {
-            let Delivery::Coalesced {
-                slot,
-                attempts,
-                result,
-            } = waiter_rx.recv().unwrap()
-            else {
-                panic!("expected coalesced delivery");
-            };
-            assert_eq!(attempts, 2);
-            assert!(result.is_err());
-            slots.push(slot);
-        }
-        slots.sort_unstable();
-        assert_eq!(slots, [3, 5]);
-
-        // Settled means gone: the next claim owns a fresh entry.
-        assert!(matches!(engine.claim(fp, &owner_tx, 0), Claim::Owner));
-        assert_eq!(engine.settle(fp, &result, 1), 0);
     }
 
     #[test]
@@ -624,12 +471,11 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         let point = tiny_point(9);
         engine.submit([job_for(&point, 0, &tx)]);
-        let Delivery::Port { outcome, .. } = rx.recv().unwrap() else {
-            panic!("nothing was claimed");
-        };
-        assert!(outcome.is_ok());
+        assert!(rx.recv().unwrap().outcome.is_ok());
+        let core = Arc::clone(&engine.core);
         drop(engine);
-        // Workers observe the closed flag and exit; nothing to assert
-        // beyond "drop returns without hanging".
+        // Every worker held a clone of the core; drop joined them all, so
+        // only ours is left.
+        assert_eq!(Arc::strong_count(&core), 1);
     }
 }

@@ -152,54 +152,6 @@ pub fn chaos_seed_from_env() -> u64 {
     env_parse("MN_CHAOS_SEED").unwrap_or(0)
 }
 
-/// Parses a byte size with an optional `K`/`M`/`G` suffix
-/// (case-insensitive, powers of 1024): `"4096"`, `"256K"`, `"1g"`.
-/// Returns `None` for anything else (empty, negative, overflow,
-/// unknown suffix).
-pub fn parse_size(text: &str) -> Option<u64> {
-    let text = text.trim();
-    let (digits, shift) = match text.as_bytes().last()? {
-        b'k' | b'K' => (&text[..text.len() - 1], 10),
-        b'm' | b'M' => (&text[..text.len() - 1], 20),
-        b'g' | b'G' => (&text[..text.len() - 1], 30),
-        _ => (text, 0),
-    };
-    let base: u64 = digits.trim().parse().ok()?;
-    base.checked_shl(shift)
-        .filter(|v| v >> shift == base || base == 0)
-}
-
-/// Cache size budget: `MN_CACHE_BUDGET`, total bytes of `.mnres` entries
-/// the cache directory may hold before LRU eviction engages (plain bytes
-/// or `K`/`M`/`G` suffixed). Unset means unbounded. 0 or malformed warns
-/// (once) and is ignored — an accidental `MN_CACHE_BUDGET=0` must not
-/// evict the whole committed cache.
-pub fn cache_budget_from_env() -> Option<u64> {
-    let value = std::env::var("MN_CACHE_BUDGET").ok()?;
-    match parse_size(&value) {
-        Some(0) | None => {
-            warn_once(
-                "MN_CACHE_BUDGET",
-                &format!(
-                    "ignoring MN_CACHE_BUDGET={value:?} (need a positive byte size, e.g. 512M)"
-                ),
-            );
-            None
-        }
-        budget => budget,
-    }
-}
-
-/// Whether cross-campaign coalescing is enabled: `MN_COALESCE`, default
-/// on; `0`/`off`/`no`/`false` disables it (each campaign then probes the
-/// cache and simulates independently, as before the shared engine).
-pub fn coalesce_from_env() -> bool {
-    !matches!(
-        std::env::var("MN_COALESCE").as_deref(),
-        Ok("0") | Ok("off") | Ok("no") | Ok("false")
-    )
-}
-
 /// Service-layer metrics switch: `MN_METRICS`, `on`/`1`/`true`/`yes` to
 /// enable the mn-metrics registry (DESIGN.md §12), anything in
 /// `off`/`0`/`false`/`no` (or unset/empty) to keep every hook a free
@@ -402,38 +354,6 @@ mod tests {
         std::env::set_var("MN_CHAOS_SEED", "99");
         assert_eq!(chaos_seed_from_env(), 99);
         std::env::remove_var("MN_CHAOS_SEED");
-
-        // Cache-budget and coalescing knobs, same single-test discipline.
-        // parse_size itself is pure — exercised here alongside its knob.
-        assert_eq!(parse_size("4096"), Some(4096));
-        assert_eq!(parse_size("256K"), Some(256 << 10));
-        assert_eq!(parse_size("64m"), Some(64 << 20));
-        assert_eq!(parse_size(" 2G "), Some(2 << 30));
-        assert_eq!(parse_size("0"), Some(0));
-        assert_eq!(parse_size(""), None);
-        assert_eq!(parse_size("-5"), None);
-        assert_eq!(parse_size("1T"), None); // unknown suffix
-        assert_eq!(parse_size("99999999999999999999G"), None); // overflow
-
-        std::env::remove_var("MN_CACHE_BUDGET");
-        assert_eq!(cache_budget_from_env(), None);
-        std::env::set_var("MN_CACHE_BUDGET", "512M");
-        assert_eq!(cache_budget_from_env(), Some(512 << 20));
-        std::env::set_var("MN_CACHE_BUDGET", "0"); // degenerate: warned
-        assert_eq!(cache_budget_from_env(), None);
-        std::env::set_var("MN_CACHE_BUDGET", "lots"); // malformed: warned
-        assert_eq!(cache_budget_from_env(), None);
-        std::env::remove_var("MN_CACHE_BUDGET");
-
-        std::env::remove_var("MN_COALESCE");
-        assert!(coalesce_from_env()); // default on
-        std::env::set_var("MN_COALESCE", "off");
-        assert!(!coalesce_from_env());
-        std::env::set_var("MN_COALESCE", "0");
-        assert!(!coalesce_from_env());
-        std::env::set_var("MN_COALESCE", "1");
-        assert!(coalesce_from_env());
-        std::env::remove_var("MN_COALESCE");
 
         // Metrics knobs, same single-test discipline. The gate itself is
         // exercised through mn-telemetry's registry tests; here we only

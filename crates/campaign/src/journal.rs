@@ -18,7 +18,6 @@
 //! {"event":"retry","fp":"…","attempt":1,"error":"…"}   — attempt failed, re-dispatched
 //! {"event":"done","fp":"…","attempts":1,"result":"…"}  — result (codec-encoded, escaped)
 //! {"event":"failed","fp":"…","attempts":3,"error":"…"} — budget exhausted
-//! {"event":"coalesced","fp":"…"}                       — served by a concurrent campaign
 //! ```
 //!
 //! The `result` field embeds the cache codec's lossless rendering
@@ -129,17 +128,6 @@ impl RunJournal {
         ));
     }
 
-    /// Records a point served by a concurrent campaign through the
-    /// shared engine's in-flight table. Informational, not terminal:
-    /// replay ignores it (the owning campaign journaled the result and
-    /// stored it in the cache, so a resumed run hits the cache instead).
-    pub fn coalesced(&self, fingerprint: &str) {
-        self.append(&format!(
-            r#"{{"event":"coalesced","fp":{}}}"#,
-            json_string(fingerprint),
-        ));
-    }
-
     /// Records a point whose retry budget is exhausted.
     pub fn failed(&self, fingerprint: &str, attempts: u32, error: &str) {
         self.append(&format!(
@@ -217,7 +205,7 @@ pub fn replay(path: &Path) -> std::io::Result<HashMap<String, ReplayedPoint>> {
                     points.remove(&fp);
                 }
             }
-            _ => {} // header, start, retry, coalesced: no terminal state
+            _ => {} // header, start, retry: no terminal state
         }
     }
     Ok(points)

@@ -9,18 +9,16 @@
 //!   through a shared work-stealing [`Engine`] (plain `std::thread` +
 //!   channels; the build is offline and dependency-free). Any number of
 //!   concurrently submitted campaigns multiplex one `MN_JOBS`-sized
-//!   worker pool; overlapping points are *coalesced* so each distinct
-//!   point simulates exactly once process-wide. Each point carries its
-//!   own seed, so results are bit-identical to a serial run at any
-//!   worker count and any interleaving of submitters, and duplicate
-//!   points (shared baselines) fold into one simulation.
+//!   worker pool. Each point carries its own seed, so results are
+//!   bit-identical to a serial run at any worker count and any
+//!   interleaving of submitters, and duplicate points (shared
+//!   baselines) fold into one simulation.
 //! - **Caching** — a content-addressed on-disk cache ([`DiskCache`],
 //!   default `results/cache/`) keyed by a stable hash of
 //!   `(config, workload, requests, seed, sim-version)`, with a
-//!   process-wide decoded hot tier for warm replays and LRU eviction
-//!   under an `MN_CACHE_BUDGET` size budget. Re-running a figure, or
-//!   sharing the `100%-C` chain baseline across figures, skips finished
-//!   points.
+//!   process-wide decoded hot tier for warm replays. Re-running a
+//!   figure, or sharing the `100%-C` chain baseline across figures,
+//!   skips finished points.
 //! - **Sinks** — alongside the binaries' text tables, per-point JSON-lines
 //!   and CSV records ([`write_point_records`]) with metadata: cache
 //!   hit/miss, host wall-clock, per-class latency stats.
@@ -73,10 +71,10 @@ pub use campaign::{Campaign, CampaignOutcome, PointOutcome};
 pub use chaos::ChaosPlan;
 pub use engine::Engine;
 pub use env::{
-    cache_budget_from_env, chaos_rate_from_env, chaos_seed_from_env, coalesce_from_env, env_parse,
-    fault_rate_from_env, fault_seed_from_env, host_policy_from_env, host_window_from_env,
-    jobs_from_env, metrics_file_from_env, metrics_from_env, metrics_interval_from_env, parse_size,
-    resume_from_env, retries_from_env, trace_dir_from_env, trace_from_env,
+    chaos_rate_from_env, chaos_seed_from_env, env_parse, fault_rate_from_env, fault_seed_from_env,
+    host_policy_from_env, host_window_from_env, jobs_from_env, metrics_file_from_env,
+    metrics_from_env, metrics_interval_from_env, resume_from_env, retries_from_env,
+    trace_dir_from_env, trace_from_env,
 };
 pub use error::CampaignError;
 pub use journal::{ReplayedPoint, RunJournal};

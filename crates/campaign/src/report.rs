@@ -33,10 +33,6 @@ pub struct CampaignSummary {
     /// Unique points that needed at least one re-dispatch (successful
     /// or not) before settling.
     pub retried: usize,
-    /// Unique points served by a concurrent campaign through the shared
-    /// engine's in-flight table (counted apart from `cache_hits`: the
-    /// result never touched this campaign's disk path).
-    pub coalesced: usize,
 }
 
 impl CampaignSummary {
@@ -65,18 +61,13 @@ impl CampaignSummary {
         } else {
             format!(", {} retried", self.retried)
         };
-        let coalesced = if self.coalesced == 0 {
-            String::new()
-        } else {
-            format!(", {} coalesced", self.coalesced)
-        };
         let failed = if self.failed == 0 {
             String::new()
         } else {
             format!(", {} FAILED", self.failed)
         };
         format!(
-            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{coalesced}{resumed}\
+            "campaign: {}/{} points in {:.2} s — {} cached, {} simulated{resumed}\
              {retried}{failed}, {} worker{}, {:.0} req/s",
             self.total,
             self.total,

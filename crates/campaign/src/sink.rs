@@ -219,7 +219,6 @@ fn point_record_fields(
         ),
         ("seed", Value::Int(outcome.point.config.seed)),
         ("cached", Value::Bool(outcome.cached)),
-        ("coalesced", Value::Bool(outcome.coalesced)),
         ("attempts", Value::Int(u64::from(outcome.attempts))),
         ("host_ms", Value::Float(outcome.host.as_secs_f64() * 1e3)),
         ("error", Value::Str(error)),
@@ -411,7 +410,6 @@ mod tests {
             point: point.clone(),
             result: Ok(result),
             cached: false,
-            coalesced: false,
             attempts: 1,
             host: std::time::Duration::from_millis(1),
         };
@@ -424,7 +422,6 @@ mod tests {
                 },
             }),
             cached: false,
-            coalesced: false,
             attempts: 1,
             host: std::time::Duration::ZERO,
         };
@@ -474,7 +471,6 @@ mod tests {
             point,
             result: Ok(result),
             cached: false,
-            coalesced: false,
             attempts: 1,
             host: std::time::Duration::ZERO,
         };
@@ -527,7 +523,6 @@ mod tests {
             point,
             result: Ok(result),
             cached: false,
-            coalesced: false,
             attempts: 1,
             host: std::time::Duration::ZERO,
         };
@@ -563,7 +558,6 @@ mod tests {
             point,
             result: Ok(result),
             cached: false,
-            coalesced: false,
             attempts: 1,
             host: std::time::Duration::ZERO,
         };

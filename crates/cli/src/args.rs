@@ -129,10 +129,10 @@ pub struct ClosedLoopArgs {
 /// What `mncube cache` should do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheAction {
-    /// Print entry/byte totals and the lifetime hit/miss/coalesced
+    /// Print entry/byte totals and the lifetime hit/miss/store
     /// counters.
     Stats,
-    /// Remove quarantined debris and evict LRU entries under the budget.
+    /// Remove quarantined `.corrupt` debris.
     Gc,
 }
 
@@ -144,9 +144,6 @@ pub struct CacheArgs {
     /// Cache directory override (defaults to `MN_CACHE_DIR` or
     /// `results/cache`).
     pub dir: Option<std::path::PathBuf>,
-    /// Eviction budget override for `gc` (defaults to `MN_CACHE_BUDGET`;
-    /// absent both ways, gc only removes quarantined debris).
-    pub budget: Option<u64>,
 }
 
 /// Arguments of `mncube stats`.
@@ -202,7 +199,7 @@ USAGE:
                    [--requests N] [--seed S] [--out FILE]
     mncube closedloop [--topology T] [--workload W] [--policy PO]
                    [--window N] [--requests N] [--seed S]
-    mncube cache   <stats|gc> [--dir DIR] [--budget SIZE]
+    mncube cache   <stats|gc> [--dir DIR]
     mncube stats   [--file FILE] [--watch] [--interval MS]
     mncube help
 
@@ -222,9 +219,8 @@ the steady-state window, RTT, and goodput (ecn also enables link marking).
 rerun, skips points the journal already completed — a killed run restarts
 where it died with byte-identical results.
 'cache stats' prints the result cache's entry/byte totals and lifetime
-hit/miss/coalesced counters; 'cache gc' removes quarantined debris and
-evicts least-recently-used entries until the directory fits --budget
-(sizes accept K/M/G suffixes, e.g. 512M; default $MN_CACHE_BUDGET).
+hit/miss/store counters; 'cache gc' removes quarantined .corrupt debris
+and never touches a live entry.
 'stats' renders the Prometheus snapshot a metrics-enabled run writes
 (MN_METRICS=on MN_METRICS_FILE=FILE) as a terminal table; --watch
 redraws it once per --interval milliseconds until interrupted.
@@ -464,30 +460,10 @@ impl Command {
                     }
                     None => return Err(err("cache expects an action: stats or gc")),
                 };
-                let mut parsed = CacheArgs {
-                    action,
-                    dir: None,
-                    budget: None,
-                };
+                let mut parsed = CacheArgs { action, dir: None };
                 while let Some(flag) = cursor.next_flag() {
                     match flag {
                         "--dir" => parsed.dir = Some(cursor.value(flag)?.into()),
-                        "--budget" => {
-                            let text = cursor.value(flag)?;
-                            if action != CacheAction::Gc {
-                                return Err(err("--budget applies to cache gc only"));
-                            }
-                            parsed.budget =
-                                Some(mn_campaign::parse_size(text).ok_or_else(|| {
-                                    err(format!(
-                                        "--budget expects a positive byte size \
-                                         (e.g. 512M), got '{text}'"
-                                    ))
-                                })?);
-                            if parsed.budget == Some(0) {
-                                return Err(err("--budget must be positive"));
-                            }
-                        }
                         other => return Err(err(format!("unknown flag '{other}' for cache"))),
                     }
                 }
@@ -716,27 +692,20 @@ mod tests {
         };
         assert_eq!(a.action, CacheAction::Stats);
         assert_eq!(a.dir, None);
-        assert_eq!(a.budget, None);
 
-        let Command::Cache(a) =
-            parse(&["cache", "gc", "--dir", "/tmp/c", "--budget", "2M"]).unwrap()
-        else {
+        let Command::Cache(a) = parse(&["cache", "gc", "--dir", "/tmp/c"]).unwrap() else {
             panic!("expected cache");
         };
         assert_eq!(a.action, CacheAction::Gc);
         assert_eq!(a.dir, Some(std::path::PathBuf::from("/tmp/c")));
-        assert_eq!(a.budget, Some(2 << 20));
 
         let e = parse(&["cache"]).unwrap_err();
         assert!(e.to_string().contains("stats or gc"));
         let e = parse(&["cache", "purge"]).unwrap_err();
         assert!(e.to_string().contains("purge"));
-        let e = parse(&["cache", "gc", "--budget", "lots"]).unwrap_err();
-        assert!(e.to_string().contains("lots"));
-        let e = parse(&["cache", "gc", "--budget", "0"]).unwrap_err();
-        assert!(e.to_string().contains("positive"));
-        // --budget steers eviction; stats never evicts.
-        assert!(parse(&["cache", "stats", "--budget", "1M"]).is_err());
+        // gc removes debris only: there is no eviction budget to set.
+        let e = parse(&["cache", "gc", "--budget", "1M"]).unwrap_err();
+        assert!(e.to_string().contains("--budget"));
     }
 
     #[test]

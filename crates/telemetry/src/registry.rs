@@ -2,7 +2,7 @@
 //!
 //! PR 5 instrumented the *simulation kernel*; this module instruments the
 //! *service stack around it* (work-stealing engine, two-tier cache,
-//! coalescing, journal, retries). Three primitives:
+//! journal, retries). Three primitives:
 //!
 //! - [`Counter`] — a monotonic `AtomicU64`. The default [`Counter::add`]
 //!   is gated on [`metrics_enabled`] (an `#[inline]` early return, the
@@ -11,7 +11,7 @@
 //!   always-on outputs (campaign summaries, `cache.stats`), where the
 //!   atomic add *is* the baseline cost.
 //! - [`Gauge`] — a last-write-wins `AtomicU64` for point-in-time values
-//!   (budget bytes, worker counts).
+//!   (queue depth, worker counts).
 //! - [`Histogram`] — log-scaled (power-of-two edges) buckets with an
 //!   exact event count and exact `u64` sum, so mean and distribution
 //!   shape are both recoverable from a text snapshot.
@@ -336,18 +336,12 @@ global_metrics! {
             "Point re-dispatches after a retryable failure.";
         engine_retry_escalations => "mn_engine_retry_escalations_total",
             "Jobs executed with an escalated watchdog budget (attempt > 0).";
-        coalesce_owner_claims => "mn_coalesce_owner_claims_total",
-            "In-flight claims that made the submission the owning simulator.";
-        coalesce_waiter_claims => "mn_coalesce_waiter_claims_total",
-            "In-flight claims parked behind a live owner.";
-        coalesce_waiters_served => "mn_coalesce_waiters_served_total",
-            "Coalesced results delivered to waiting submissions at settle.";
         cache_hot_revalidations => "mn_cache_hot_revalidations_total",
             "Hot-tier hits revalidated against the backing file's metadata.";
         cache_hot_revalidation_misses => "mn_cache_hot_revalidation_misses_total",
             "Hot-tier entries dropped because revalidation failed.";
         cache_gc_passes => "mn_cache_gc_passes_total",
-            "Cache eviction passes (explicit gc and budget-triggered).";
+            "Cache gc passes (quarantined-debris sweeps).";
         journal_lines_written => "mn_journal_lines_written_total",
             "Lines appended to run journals.";
         journal_torn_tails_repaired => "mn_journal_torn_tails_repaired_total",
@@ -366,16 +360,10 @@ global_metrics! {
             "Worker threads in the process-wide engine pool.";
         engine_queue_depth => "mn_engine_queue_depth",
             "Shared injector queue depth at the last refill.";
-        cache_budget_bytes => "mn_cache_budget_bytes",
-            "Configured cache size budget in bytes (0 = unbounded).";
     }
     histograms {
         engine_refill_chunk => "mn_engine_refill_chunk_jobs",
             "Jobs moved per injector refill.";
-        coalesce_settle_latency_us => "mn_coalesce_settle_latency_us",
-            "Microseconds from owning claim to settle, per owned point.";
-        cache_gc_reclaimed_bytes => "mn_cache_gc_reclaimed_bytes",
-            "Bytes reclaimed per cache eviction pass.";
         point_resolve_latency_us => "mn_point_resolve_latency_us",
             "Microseconds from point dispatch to resolution (any source).";
     }
