@@ -897,10 +897,12 @@ mod tests {
     }
 
     #[test]
-    fn campaigns_sharing_an_engine_agree_with_serial() {
+    fn campaigns_sharing_an_engine_coalesce_overlapping_points() {
         // Two campaigns on one engine, overlapping on one point, no
         // cache: each simulates its own points on the shared pool, and
-        // both see the serial run's bytes.
+        // both see the serial run's bytes. (The name predates the removal
+        // of in-flight coalescing; the overlap now resolves by each
+        // campaign simulating the shared point itself.)
         let engine = Arc::new(Engine::new(2));
         let shared = || tiny(TopologyKind::Chain, 81);
         let solo = tiny(TopologyKind::Tree, 82);

@@ -72,8 +72,10 @@ fn assert_accounted_and_intact(runs: &[CampaignOutcome], dir: &Path, distinct: &
     }
 }
 
+// "Exactly once" is per run: each unique point resolves once, either
+// simulated or from the cache (check 2).
 #[test]
-fn concurrent_overlapping_campaigns_are_serial_identical_and_intact() {
+fn concurrent_overlapping_campaigns_are_serial_identical_and_exactly_once() {
     // Grid A and grid B overlap on seeds 3..6; the union is seeds 0..9.
     let grid_a = seeded_grid(0..6);
     let grid_b = seeded_grid(3..9);
@@ -143,8 +145,11 @@ fn concurrent_overlapping_campaigns_are_serial_identical_and_intact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// The name predates the removal of in-flight coalescing: the submitters
+// now converge on one result per point, byte for byte, not on one
+// simulation.
 #[test]
-fn identical_grids_from_many_threads_agree_and_leave_an_intact_cache() {
+fn identical_grids_from_many_threads_coalesce_to_one_simulation() {
     // The degenerate overlap: every submitter asks for the same grid, so
     // every key is stored by whichever campaigns miss it, concurrently.
     let grid = seeded_grid(40..46);

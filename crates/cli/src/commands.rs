@@ -711,7 +711,7 @@ mn_point_resolve_latency_us_count 3
     }
 
     #[test]
-    fn cache_gc_sweeps_quarantined_debris_and_keeps_entries() {
+    fn cache_stats_and_gc_report_and_converge() {
         let dir = std::env::temp_dir().join(format!("mncube-cache-cmd-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let command = |action| {
