@@ -9,7 +9,10 @@
 //! - **events/sec** and **ns/event** — wall time divided by the number of
 //!   discrete events processed. The event stream is part of the
 //!   bit-reproducible contract, so the denominator is stable across kernel
-//!   changes and the ratio tracks pure dispatch cost.
+//!   changes and the ratio tracks pure dispatch cost. Each case is timed
+//!   over [`ROUNDS`] rounds, interleaved across cases so a slow stretch of
+//!   the machine hits every case alike; the report is the median round,
+//!   with the interquartile range of ns/event as its spread.
 //! - **peak queue depth** — the ladder queue's high-water mark.
 //! - **allocations per 1k events** — counted by a wrapping global
 //!   allocator, both for the whole run and for the *steady state* alone
@@ -26,10 +29,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mn_core::{simulate_port, SystemConfig};
-use mn_sim::counters;
+use mn_sim::{counters, KernelCounters};
 use mn_topo::TopologyKind;
 use mn_workloads::Workload;
 
@@ -57,6 +60,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Timed rounds per case; every round runs each case's `iters` once.
+const ROUNDS: usize = 5;
+
 struct Case {
     name: &'static str,
     topology: TopologyKind,
@@ -67,11 +73,24 @@ struct Case {
     fault_rate: f64,
 }
 
+/// One case's deterministic reference run, plus what its timed rounds
+/// accumulate.
+struct CaseRun {
+    events_per_iter: u64,
+    kernel: KernelCounters,
+    config: SystemConfig,
+    /// Wall time of each round's `iters` iterations.
+    round_walls: Vec<Duration>,
+    allocs: u64,
+    steady_allocs: u64,
+}
+
 struct Measurement {
     name: String,
     events_per_iter: u64,
     queue_peak: usize,
     ns_per_event: f64,
+    ns_per_event_iqr: f64,
     events_per_sec: f64,
     allocs_per_1k_events: f64,
     steady_allocs_per_1k_events: f64,
@@ -81,7 +100,9 @@ struct Measurement {
     wall_per_iter_ms: f64,
 }
 
-fn run_case(case: &Case) -> Measurement {
+/// Builds the case's configuration and runs it once untimed: the warm-up
+/// (page in code, size caches) and the event-count reference.
+fn prepare(case: &Case) -> CaseRun {
     let mut config =
         SystemConfig::paper_baseline(case.topology, 1.0).expect("paper baseline is valid");
     config.requests_per_port = case.requests;
@@ -94,42 +115,66 @@ fn run_case(case: &Case) -> Measurement {
     if let Some(mode) = mn_campaign::trace_from_env() {
         config.noc.trace = mode;
     }
-
-    // Warm up (page in code, size caches) outside the measured window.
     let reference = simulate_port(&config, case.workload, 0);
-    let events = reference.kernel_events();
-    let kernel = reference.kernel_counters();
+    CaseRun {
+        events_per_iter: reference.kernel_events(),
+        kernel: reference.kernel_counters(),
+        config,
+        round_walls: Vec::with_capacity(ROUNDS),
+        allocs: 0,
+        steady_allocs: 0,
+    }
+}
 
+/// Times one round of `case`: its `iters` iterations back to back.
+fn run_round(case: &Case, run: &mut CaseRun) {
     let alloc_start = counters::heap_allocs();
     let start = Instant::now();
-    let mut steady_allocs = 0u64;
     for _ in 0..case.iters {
-        let obs = simulate_port(&config, case.workload, 0);
+        let obs = simulate_port(&run.config, case.workload, 0);
         assert_eq!(
             obs.kernel_events(),
-            events,
+            run.events_per_iter,
             "event stream must be deterministic"
         );
-        steady_allocs += obs.kernel_counters().steady_heap_allocs;
+        run.steady_allocs += obs.kernel_counters().steady_heap_allocs;
         std::hint::black_box(&obs);
     }
-    let wall = start.elapsed();
-    let allocs = counters::heap_allocs() - alloc_start;
+    run.round_walls.push(start.elapsed());
+    run.allocs += counters::heap_allocs() - alloc_start;
+}
 
-    let total_events = events * u64::from(case.iters);
-    let secs = wall.as_secs_f64();
+/// The `q`-quantile of ascending `sorted`, interpolating linearly
+/// between neighbors.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+fn summarize(case: &Case, run: &CaseRun) -> Measurement {
+    let events_per_round = run.events_per_iter * u64::from(case.iters);
+    let mut ns_per_event: Vec<f64> = run
+        .round_walls
+        .iter()
+        .map(|wall| wall.as_secs_f64() * 1e9 / events_per_round as f64)
+        .collect();
+    ns_per_event.sort_by(f64::total_cmp);
+    let median = quantile(&ns_per_event, 0.5);
+    let total_events = events_per_round * run.round_walls.len() as u64;
     Measurement {
         name: case.name.to_string(),
-        events_per_iter: events,
-        queue_peak: kernel.queue_peak as usize,
-        ns_per_event: secs * 1e9 / total_events as f64,
-        events_per_sec: total_events as f64 / secs,
-        allocs_per_1k_events: allocs as f64 * 1000.0 / total_events as f64,
-        steady_allocs_per_1k_events: steady_allocs as f64 * 1000.0 / total_events as f64,
-        bucket_spills: kernel.bucket_spills,
-        rewindows: kernel.rewindows,
-        arena_high_water: kernel.arena_high_water,
-        wall_per_iter_ms: secs * 1e3 / f64::from(case.iters),
+        events_per_iter: run.events_per_iter,
+        queue_peak: run.kernel.queue_peak as usize,
+        ns_per_event: median,
+        ns_per_event_iqr: quantile(&ns_per_event, 0.75) - quantile(&ns_per_event, 0.25),
+        events_per_sec: 1e9 / median,
+        allocs_per_1k_events: run.allocs as f64 * 1000.0 / total_events as f64,
+        steady_allocs_per_1k_events: run.steady_allocs as f64 * 1000.0 / total_events as f64,
+        bucket_spills: run.kernel.bucket_spills,
+        rewindows: run.kernel.rewindows,
+        arena_high_water: run.kernel.arena_high_water,
+        wall_per_iter_ms: median * run.events_per_iter as f64 / 1e6,
     }
 }
 
@@ -174,13 +219,20 @@ fn main() {
     // The host's available parallelism, archived so a wall-clock delta
     // between machines can be read against the cores each one had.
     let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!("available cores: {available_cores}");
+    println!("available cores: {available_cores}, rounds: {ROUNDS}");
+    let mut runs: Vec<CaseRun> = cases.iter().map(prepare).collect();
+    for _ in 0..ROUNDS {
+        for (case, run) in cases.iter().zip(&mut runs) {
+            run_round(case, run);
+        }
+    }
     println!(
-        "{:<22} {:>12} {:>8} {:>9} {:>13} {:>11} {:>11} {:>7} {:>8} {:>8} {:>10}",
+        "{:<22} {:>12} {:>8} {:>9} {:>7} {:>13} {:>11} {:>11} {:>7} {:>8} {:>8} {:>10}",
         "case",
         "events/iter",
         "peak q",
         "ns/event",
+        "iqr",
         "events/sec",
         "alloc/1kev",
         "steady/1k",
@@ -190,14 +242,15 @@ fn main() {
         "ms/iter"
     );
     let mut measurements = Vec::new();
-    for case in &cases {
-        let m = run_case(case);
+    for (case, run) in cases.iter().zip(&runs) {
+        let m = summarize(case, run);
         println!(
-            "{:<22} {:>12} {:>8} {:>9.1} {:>13.0} {:>11.2} {:>11.3} {:>7} {:>8} {:>8} {:>10.3}",
+            "{:<22} {:>12} {:>8} {:>9.1} {:>7.1} {:>13.0} {:>11.2} {:>11.3} {:>7} {:>8} {:>8} {:>10.3}",
             m.name,
             m.events_per_iter,
             m.queue_peak,
             m.ns_per_event,
+            m.ns_per_event_iqr,
             m.events_per_sec,
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
@@ -216,7 +269,8 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\":\"{}\",\"events_per_iter\":{},\"peak_queue_depth\":{},\
-             \"ns_per_event\":{:.3},\"events_per_sec\":{:.0},\
+             \"ns_per_event\":{:.3},\"ns_per_event_iqr\":{:.3},\"rounds\":{},\
+             \"events_per_sec\":{:.0},\
              \"allocs_per_1k_events\":{:.2},\"steady_allocs_per_1k_events\":{:.3},\
              \"bucket_spills\":{},\"rewindows\":{},\"arena_high_water\":{},\
              \"wall_per_iter_ms\":{:.3}}}{comma}",
@@ -224,6 +278,8 @@ fn main() {
             m.events_per_iter,
             m.queue_peak,
             m.ns_per_event,
+            m.ns_per_event_iqr,
+            ROUNDS,
             m.events_per_sec,
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,

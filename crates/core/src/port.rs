@@ -192,8 +192,8 @@ pub(crate) struct PortSim {
     ctrl_base: Vec<u32>,
     /// Exact minimum of every controller's `next_event_time` (`None` =
     /// all idle). `enqueue` only moves a controller's next event earlier,
-    /// so the cache merges cheaply on enqueue and is recomputed only
-    /// after a pass that actually advanced a controller — turning the
+    /// so the cache merges cheaply on enqueue and is refolded inside the
+    /// sweep of a pass that actually advances a controller — turning the
     /// per-timestep poll of every quadrant into one comparison.
     ctrl_min: Option<SimTime>,
     cube_tech: Vec<Option<CubeTech>>,
@@ -269,6 +269,14 @@ pub(crate) struct PortSim {
     /// Control/data packet sizes, for wire-cost evaluation.
     control_bytes: u64,
     data_bytes: u64,
+}
+
+/// The earlier of two optional instants (`None` = never).
+fn min_time(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// Dense index for the two routing planes in the wire-cost tables.
@@ -776,10 +784,7 @@ impl PortSim {
                 .expect("has_space checked");
             // Enqueueing can only move this controller's next event
             // earlier, so a min-merge keeps the cache exact.
-            self.ctrl_min = match (self.ctrl_min, ctrl.next_event_time()) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            self.ctrl_min = min_time(self.ctrl_min, ctrl.next_event_time());
         }
     }
 
@@ -792,6 +797,10 @@ impl PortSim {
             return false;
         }
         let mut progress = false;
+        // The new minimum, folded in the same sweep: idle-until-later
+        // controllers contribute their memoized next event, advanced ones
+        // the value after the advance.
+        let mut ctrl_min: Option<SimTime> = None;
         // One completion buffer for the whole pass (and, via the struct
         // field, for the whole run) — `advance_into` appends in place.
         let mut done = std::mem::take(&mut self.completions);
@@ -802,11 +811,14 @@ impl PortSim {
             }
             for q in 0..QUADRANTS as usize {
                 let ctrl = &mut self.ctrl[base as usize + q];
-                if ctrl.next_event_time().is_none_or(|t| t > now) {
+                let next = ctrl.next_event_time();
+                if next.is_none_or(|t| t > now) {
+                    ctrl_min = min_time(ctrl_min, next);
                     continue;
                 }
                 done.clear();
                 ctrl.advance_into(now, &mut done);
+                ctrl_min = min_time(ctrl_min, ctrl.next_event_time());
                 let spec = *ctrl.spec();
                 for c in done.drain(..) {
                     progress = true;
@@ -848,13 +860,15 @@ impl PortSim {
             }
         }
         self.completions = done;
-        // Advancing pushes next-event times later (or to idle); recompute
-        // the cached minimum from the memoized per-controller values.
-        self.ctrl_min = self
-            .ctrl
-            .iter()
-            .filter_map(QuadrantController::next_event_time)
-            .min();
+        debug_assert_eq!(
+            ctrl_min,
+            self.ctrl
+                .iter()
+                .filter_map(QuadrantController::next_event_time)
+                .min(),
+            "swept controller minimum diverged from the full recompute"
+        );
+        self.ctrl_min = ctrl_min;
         progress
     }
 

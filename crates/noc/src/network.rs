@@ -189,11 +189,6 @@ struct NodeMeta {
 
 impl NodeMeta {
     #[inline]
-    fn total_ports(self) -> usize {
-        (self.ext_ports + self.local_ports) as usize
-    }
-
-    #[inline]
     fn buf_idx(self, port: usize, vc: usize) -> usize {
         self.buf_base as usize + port * VC + vc
     }
@@ -240,6 +235,13 @@ pub struct Network {
     eject: Vec<Buf>,
     /// All arbiters: `meta[n].arb_idx(output)`, ejection last per node.
     arbiters: Vec<ArbiterImpl>,
+    /// Route-indexed head masks, one per (arbiter, VC) at
+    /// `arb_idx(out) * VC + vc`: bit `p` is set iff input buffer `(p, vc)`
+    /// holds a head packet leaving by output `out` (ejection when it is
+    /// addressed to this node, else its routed next port). Arbitration
+    /// walks the set bits instead of probing every port's head for every
+    /// output; ascending bit order is the port order the scan produced.
+    head_masks: Vec<u64>,
     /// Every packet inside the network (buffered or in flight) lives here;
     /// buffers and events carry 8-byte [`ArenaRef`] handles. Slots recycle
     /// through a free list, so past the high-water mark the steady-state
@@ -268,13 +270,6 @@ pub struct Network {
     /// Per-node membership flag for the in-progress `advance` ready list —
     /// structural dedup instead of a sort+dedup pass per call.
     ready_pending: Vec<bool>,
-    /// Packets currently sitting in each node's *input* buffers (not
-    /// ejection). A `TryArb` on a node with zero buffered packets cannot
-    /// move anything — neither the ejection nor any link-output scan can
-    /// find a head — so `arbitrate` early-outs on this count. Wake
-    /// cascades re-arm nodes aggressively, making empty-node arbitrations
-    /// the most common event in a steady-state run.
-    buffered: Vec<u32>,
     /// Reusable arbitration candidate buffer (cleared before each use).
     scratch: Vec<Candidate>,
     /// Reusable same-instant event batch for [`Network::advance`].
@@ -364,6 +359,10 @@ impl Network {
                 link_ports[id.index()].push((link, port));
             }
             let total_ports = ext_ports + local_ports;
+            assert!(
+                total_ports <= 64,
+                "node {id} has {total_ports} ports; head masks hold 64"
+            );
             let buf_base = u32::try_from(buf_count).expect("buffer count fits u32");
             buf_count += total_ports * VC;
             // One arbiter per external output port plus one for ejection.
@@ -407,7 +406,6 @@ impl Network {
             arb_clean: vec![false; shape.nodes],
             last_arb: vec![SimTime::ZERO; shape.nodes],
             ready_pending: vec![false; shape.nodes],
-            buffered: vec![0; shape.nodes],
             scratch: Vec::with_capacity(16),
             batch: Vec::with_capacity(64),
         });
@@ -437,7 +435,6 @@ impl Network {
             arb_clean,
             last_arb,
             ready_pending,
-            buffered,
             scratch,
             batch,
         } = storage;
@@ -472,6 +469,7 @@ impl Network {
             meta,
             bufs,
             eject,
+            head_masks: vec![0; arbiters.len() * VC],
             arbiters,
             packets,
             link_free_at,
@@ -480,7 +478,6 @@ impl Network {
             arb_clean,
             last_arb,
             ready_pending,
-            buffered,
             scratch,
             batch,
             next_packet_id: 0,
@@ -503,7 +500,7 @@ impl Network {
             eject_count: self.eject.len(),
             ejection_packets: self.config.ejection_packets,
             links: self.link_free_at.len(),
-            nodes: self.buffered.len(),
+            nodes: self.ready_pending.len(),
         };
         pool::put(NetworkStorage {
             shape,
@@ -515,7 +512,6 @@ impl Network {
             arb_clean: self.arb_clean,
             last_arb: self.last_arb,
             ready_pending: self.ready_pending,
-            buffered: self.buffered,
             scratch: self.scratch,
             batch: self.batch,
         });
@@ -585,7 +581,9 @@ impl Network {
         let buf = &mut self.bufs[meta.buf_idx(port, vc)];
         buf.queue.push_back((handle, now));
         let depth = buf.queue.len();
-        self.buffered[node.index()] += 1;
+        if depth == 1 {
+            self.set_head_bit(node, port, vc);
+        }
         self.stats.injected.incr();
         self.telem.on_inject(now, node, id, depth);
         self.request_arb(node, now);
@@ -738,24 +736,113 @@ impl Network {
         buf.reserved -= 1;
         buf.queue.push_back((handle, now));
         let depth = buf.queue.len();
-        self.buffered[node.index()] += 1;
+        if depth == 1 {
+            self.set_head_bit(node, port, vc);
+        }
         self.telem.on_enqueue(now, node, id, depth);
         self.request_arb(node, now);
     }
 
+    /// The head-mask slot of the packet at the head of `node`'s input
+    /// buffer `(port, vc)`, or `None` when that buffer is empty or its
+    /// head has no usable output (the `NO_PORT` sentinel: no output's
+    /// arbitration could ever select it).
+    fn head_slot(&self, node: NodeId, port: usize, vc: usize) -> Option<usize> {
+        let meta = self.meta[node.index()];
+        let handle = self.bufs[meta.buf_idx(port, vc)].head()?;
+        let head = self.packets.get(handle).expect("buffered packet is live");
+        let ext_ports = meta.ext_ports as usize;
+        let out = if head.dst == node {
+            ext_ports
+        } else {
+            let out = usize::from(self.routes.next_port(head.class, node, head.dst));
+            if out >= ext_ports {
+                return None;
+            }
+            out
+        };
+        Some(meta.arb_idx(out) * VC + vc)
+    }
+
+    /// Records the (new) head of `node`'s input buffer `(port, vc)` in its
+    /// output's head mask.
+    fn set_head_bit(&mut self, node: NodeId, port: usize, vc: usize) {
+        if let Some(slot) = self.head_slot(node, port, vc) {
+            self.head_masks[slot] |= 1 << port;
+        }
+    }
+
+    /// Pops the head of `node`'s input buffer `(port, vc)`, which sits in
+    /// head-mask `slot`, and moves the buffer's bit to its next head.
+    fn pop_head(&mut self, node: NodeId, port: usize, vc: usize, slot: usize) -> ArenaRef {
+        let buf = &mut self.bufs[self.meta[node.index()].buf_idx(port, vc)];
+        let (handle, _) = buf.queue.pop_front().expect("selected head exists");
+        let more = !buf.queue.is_empty();
+        self.head_masks[slot] &= !(1 << port);
+        if more {
+            self.set_head_bit(node, port, vc);
+        }
+        handle
+    }
+
+    /// Debug check: `node`'s head masks hold exactly the bits its buffer
+    /// heads imply. Every implied bit must be set, and the masks may hold
+    /// no others.
+    #[cfg(debug_assertions)]
+    fn check_head_masks(&self, node: NodeId) {
+        let meta = self.meta[node.index()];
+        let mut implied = 0u32;
+        for port in 0..(meta.ext_ports + meta.local_ports) as usize {
+            for vc in 0..VC {
+                if let Some(slot) = self.head_slot(node, port, vc) {
+                    assert!(
+                        self.head_masks[slot] & (1 << port) != 0,
+                        "node {node}: head of ({port}, {vc}) missing from mask {slot}"
+                    );
+                    implied += 1;
+                }
+            }
+        }
+        let held: u32 = self.node_masks(meta).iter().map(|m| m.count_ones()).sum();
+        assert_eq!(held, implied, "node {node}: stale head-mask bits");
+    }
+
+    /// A node's head masks, `[out * VC + vc]` for outputs
+    /// `0..=ext_ports` (ejection last): its arbiters are contiguous.
+    #[inline]
+    fn node_masks(&self, meta: NodeMeta) -> &[u64] {
+        let first = meta.arb_idx(0) * VC;
+        &self.head_masks[first..first + (meta.ext_ports as usize + 1) * VC]
+    }
+
+    /// True if some head packet at `node` leaves by output `out`.
+    #[inline]
+    fn output_has_heads(&self, meta: NodeMeta, out: usize) -> bool {
+        self.node_masks(meta)[out * VC..out * VC + VC]
+            .iter()
+            .any(|&m| m != 0)
+    }
+
     /// Runs arbitration for every output of `node` that can act at `now`.
     fn arbitrate(&mut self, node: NodeId, now: SimTime, ready: &mut Vec<NodeId>) {
-        if self.buffered[node.index()] == 0 {
-            // Nothing in any input buffer: every scan below would come up
-            // empty. Skipping them is observationally identical — no
-            // packet moves, no stats counter fires on an empty candidate
-            // set.
+        #[cfg(debug_assertions)]
+        self.check_head_masks(node);
+        let meta = self.meta[node.index()];
+        if self.node_masks(meta).iter().all(|&m| m == 0) {
+            // No head can leave by any output — the common case, since
+            // wake cascades re-arm empty nodes aggressively. Every call
+            // below would find no candidate and change no state.
             return;
         }
-        self.arbitrate_ejection(node, now, ready);
-        let ext_ports = self.meta[node.index()].ext_ports as usize;
-        for out_port in 0..ext_ports {
-            self.arbitrate_link_output(node, out_port, now);
+        if self.output_has_heads(meta, meta.ext_ports as usize) {
+            self.arbitrate_ejection(node, now, ready);
+        }
+        for out_port in 0..meta.ext_ports as usize {
+            // No head routes out of this port: the call could find no
+            // candidate and would change no state.
+            if self.output_has_heads(meta, out_port) {
+                self.arbitrate_link_output(node, out_port, now);
+            }
         }
     }
 
@@ -764,41 +851,24 @@ impl Network {
     fn arbitrate_ejection(&mut self, node: NodeId, now: SimTime, ready: &mut Vec<NodeId>) {
         let n = node.index();
         let meta = self.meta[n];
-        let total_ports = meta.total_ports();
         let eject_arb = meta.arb_idx(meta.ext_ports as usize);
         let mut candidates = std::mem::take(&mut self.scratch);
         loop {
             let mut chosen: Option<(usize, usize)> = None; // (port, vc)
             for vc in VirtualChannel::PRIORITY_ORDER {
-                if !self.eject[n * VC + vc.index()].has_space() {
+                let mask = self.head_masks[eject_arb * VC + vc.index()];
+                if mask == 0 || !self.eject[n * VC + vc.index()].has_space() {
                     continue;
                 }
                 candidates.clear();
-                for port in 0..total_ports {
-                    if let Some(handle) = self.bufs[meta.buf_idx(port, vc.index())].head() {
-                        let head = self.packets.get(handle).expect("buffered packet is live");
-                        if head.dst == node {
-                            let weight = self.arbiters[eject_arb].weigh(head);
-                            candidates.push(Candidate {
-                                input_port: port,
-                                weight,
-                            });
-                        }
-                    }
-                }
-                if !candidates.is_empty() {
-                    self.stats.arbitration_rounds.incr();
-                    let i = self.arbiters[eject_arb].pick(&candidates);
-                    chosen = Some((candidates[i].input_port, vc.index()));
-                    break;
-                }
+                self.collect_candidates(meta, vc.index(), mask, eject_arb, &mut candidates);
+                self.stats.arbitration_rounds.incr();
+                let i = self.arbiters[eject_arb].pick(&candidates);
+                chosen = Some((candidates[i].input_port, vc.index()));
+                break;
             }
             let Some((port, vc)) = chosen else { break };
-            let (handle, _) = self.bufs[meta.buf_idx(port, vc)]
-                .queue
-                .pop_front()
-                .expect("head exists");
-            self.buffered[n] -= 1;
+            let handle = self.pop_head(node, port, vc, eject_arb * VC + vc);
             if self.telem.tracing() {
                 let id = self.packets.get(handle).expect("ejected packet is live").id;
                 self.telem.on_eject(now, node, id);
@@ -812,6 +882,30 @@ impl Network {
         }
         candidates.clear();
         self.scratch = candidates;
+    }
+
+    /// Appends one candidate per set bit of `mask` — the heads on `vc`
+    /// contending for arbiter `arb` — in ascending input-port order.
+    fn collect_candidates(
+        &self,
+        meta: NodeMeta,
+        vc: usize,
+        mut mask: u64,
+        arb: usize,
+        candidates: &mut Vec<Candidate>,
+    ) {
+        while mask != 0 {
+            let port = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            let handle = self.bufs[meta.buf_idx(port, vc)]
+                .head()
+                .expect("mask bit marks a head");
+            let head = self.packets.get(handle).expect("buffered packet is live");
+            candidates.push(Candidate {
+                input_port: port,
+                weight: self.arbiters[arb].weigh(head),
+            });
+        }
     }
 
     /// Tries to send one packet out of `out_port`; reschedules itself when
@@ -841,46 +935,24 @@ impl Network {
         let neighbor_port = self.neighbor_ports[node.index()][out_port];
         let meta = self.meta[node.index()];
         let neighbor_meta = self.meta[neighbor.index()];
-        let total_ports = meta.total_ports();
         let out_arb = meta.arb_idx(out_port);
 
         let mut candidates = std::mem::take(&mut self.scratch);
         let mut selection: Option<(usize, usize)> = None; // (input port, vc)
         for vc in VirtualChannel::PRIORITY_ORDER {
+            // A head never leaves by the port it arrived on.
+            let mask = self.head_masks[out_arb * VC + vc.index()] & !(1 << out_port);
             // Candidates need downstream buffer space on their VC.
-            if !self.bufs[neighbor_meta.buf_idx(neighbor_port, vc.index())].has_space() {
+            if mask == 0 || !self.bufs[neighbor_meta.buf_idx(neighbor_port, vc.index())].has_space()
+            {
                 continue;
             }
             candidates.clear();
-            for port in 0..total_ports {
-                if port == out_port {
-                    continue;
-                }
-                let Some(handle) = self.bufs[meta.buf_idx(port, vc.index())].head() else {
-                    continue;
-                };
-                let head = self.packets.get(handle).expect("buffered packet is live");
-                if head.dst == node {
-                    continue; // ejection's job
-                }
-                // One indexed load against the flattened route table;
-                // the NO_PORT sentinel (self/unreachable) never matches
-                // a real output port.
-                if self.routes.next_port(head.class, node, head.dst) != out_port as u16 {
-                    continue;
-                }
-                let weight = self.arbiters[out_arb].weigh(head);
-                candidates.push(Candidate {
-                    input_port: port,
-                    weight,
-                });
-            }
-            if !candidates.is_empty() {
-                self.stats.arbitration_rounds.incr();
-                let i = self.arbiters[out_arb].pick(&candidates);
-                selection = Some((candidates[i].input_port, vc.index()));
-                break;
-            }
+            self.collect_candidates(meta, vc.index(), mask, out_arb, &mut candidates);
+            self.stats.arbitration_rounds.incr();
+            let i = self.arbiters[out_arb].pick(&candidates);
+            selection = Some((candidates[i].input_port, vc.index()));
+            break;
         }
         candidates.clear();
         self.scratch = candidates;
@@ -888,12 +960,8 @@ impl Network {
             return;
         };
 
-        let (handle, _) = self.bufs[meta.buf_idx(in_port, vc)]
-            .queue
-            .pop_front()
-            .expect("selected head exists");
-        let departed_depth = self.bufs[meta.buf_idx(in_port, vc)].queue.len() + 1;
-        self.buffered[node.index()] -= 1;
+        let departed_depth = self.bufs[meta.buf_idx(in_port, vc)].queue.len();
+        let handle = self.pop_head(node, in_port, vc, out_arb * VC + vc);
         self.bufs[neighbor_meta.buf_idx(neighbor_port, vc)].reserved += 1;
 
         let moved = self
@@ -1413,10 +1481,9 @@ mod tests {
         assert!(msg.contains("partition"), "{msg}");
     }
 
-    #[test]
-    fn ring_survives_a_dead_link() {
-        // A ring has two disjoint branches: one hard failure degrades hop
-        // counts but every cube still completes its traffic.
+    /// A 16-cube ring with exactly one hard link failure, and the config
+    /// that produces it.
+    fn ring_with_one_dead_link() -> (Topology, NocConfig) {
         let topo = Topology::build(
             TopologyKind::Ring,
             &Placement::homogeneous(16, CubeTech::Dram),
@@ -1442,6 +1509,14 @@ mod tests {
             })
             .expect("some seed kills exactly one ring link");
         cfg.fault.seed = seed;
+        (topo, cfg)
+    }
+
+    #[test]
+    fn ring_survives_a_dead_link() {
+        // A ring has two disjoint branches: one hard failure degrades hop
+        // counts but every cube still completes its traffic.
+        let (topo, cfg) = ring_with_one_dead_link();
         let mut net = Network::try_new(&topo, cfg).expect("ring routes around one dead link");
         let mut deliveries = Vec::new();
         let mut ready = Vec::new();
@@ -1466,6 +1541,89 @@ mod tests {
         }
         assert_eq!(deliveries.len(), 16, "every cube still reachable");
         assert_eq!(net.fault_stats().unwrap().dead_links, 1);
+    }
+
+    /// Offers `packets` packets as fast as the injection buffers accept
+    /// them — host requests alternating reads and writes (both routing
+    /// classes) to every cube, and a response home from every cube's local
+    /// ports — checking every node's head masks after each step (in debug
+    /// builds). Returns (injected, delivered, refused injections).
+    fn saturate(net: &mut Network, topo: &Topology, packets: u64) -> (u64, u64, u64) {
+        let host = topo.host();
+        let cubes: Vec<NodeId> = topo.cubes().map(|(c, _)| c).collect();
+        let (mut injected, mut delivered, mut refused) = (0u64, 0u64, 0u64);
+        let mut ready = Vec::new();
+        let mut now = SimTime::ZERO;
+        loop {
+            let mut offered = true;
+            while offered && injected < packets {
+                offered = false;
+                for (i, &cube) in cubes.iter().enumerate() {
+                    let kind = if (injected + i as u64).is_multiple_of(2) {
+                        PacketKind::ReadRequest
+                    } else {
+                        PacketKind::WriteRequest
+                    };
+                    let req = Packet::request(injected, kind, host, cube);
+                    let resp = Packet::response_to(&req, i.is_multiple_of(3));
+                    for (node, port, pkt) in [(host, 0, req), (cube, i % 4, resp)] {
+                        if injected == packets {
+                            break;
+                        }
+                        match net.inject(node, port, pkt, now) {
+                            Ok(_) => {
+                                injected += 1;
+                                offered = true;
+                            }
+                            Err(NetworkFull) => refused += 1,
+                        }
+                    }
+                }
+            }
+            net.advance(now, &mut ready);
+            #[cfg(debug_assertions)]
+            for node in topo.node_ids() {
+                net.check_head_masks(node);
+            }
+            for &node in &ready {
+                while net.take_delivery(node, now).is_some() {
+                    delivered += 1;
+                }
+            }
+            match net.next_event_time() {
+                Some(t) => now = t,
+                None if injected == packets => break,
+                None => {}
+            }
+        }
+        (injected, delivered, refused)
+    }
+
+    #[test]
+    fn head_masks_track_buffer_heads_under_saturation() {
+        let skiplist = Topology::build(
+            TopologyKind::SkipList,
+            &Placement::homogeneous(16, CubeTech::Dram),
+        )
+        .unwrap();
+        let (ring, ring_cfg) = ring_with_one_dead_link();
+        let runs = [
+            (&skiplist, NocConfig::default()),
+            (
+                &skiplist,
+                NocConfig::default().with_arbiter(ArbiterKind::AdaptiveDistance),
+            ),
+            (&ring, ring_cfg),
+        ];
+        for (topo, cfg) in runs {
+            let mut net = Network::try_new(topo, cfg).expect("network builds");
+            let (injected, delivered, refused) = saturate(&mut net, topo, 3_000);
+            assert_eq!(injected, 3_000);
+            assert!(refused > 0, "the offered load must saturate injection");
+            assert_eq!(delivered, injected, "every packet delivered");
+            assert_eq!(net.in_flight(), 0);
+            assert!(net.head_masks.iter().all(|&m| m == 0), "drained masks");
+        }
     }
 
     #[test]

@@ -64,7 +64,6 @@ pub(crate) struct NetworkStorage {
     pub(crate) arb_clean: Vec<bool>,
     pub(crate) last_arb: Vec<SimTime>,
     pub(crate) ready_pending: Vec<bool>,
-    pub(crate) buffered: Vec<u32>,
     pub(crate) scratch: Vec<Candidate>,
     pub(crate) batch: Vec<NetEvent>,
 }
@@ -87,7 +86,6 @@ impl NetworkStorage {
         self.arb_clean.fill(false);
         self.last_arb.fill(SimTime::ZERO);
         self.ready_pending.fill(false);
-        self.buffered.fill(0);
         self.scratch.clear();
         self.batch.clear();
     }

@@ -19,7 +19,7 @@
 //! binary heap with an explicit sequence tie-break produces, which is what
 //! pins the workspace's bit-reproducible results. No sequence number is
 //! stored: every path that reorders entries is stable, so push order
-//! survives. Three mechanisms guarantee the order (see `DESIGN.md` §5.3):
+//! survives. Four mechanisms guarantee the order (see `DESIGN.md` §5.3):
 //!
 //! 1. Appends into a pending bucket happen in push order, and activation
 //!    sorts **stably by time**, so same-instant entries keep their
@@ -30,6 +30,14 @@
 //! 3. The overflow rung preserves push order, and a rewindow distributes
 //!    it in that order into empty buckets — entries pushed later are
 //!    appended later, so stability composes.
+//! 4. A push at exactly [`LadderQueue::now`] skips the buckets and joins
+//!    the FIFO *current-instant lane*, which is served after the bucketed
+//!    entries at `now`. Those were pushed while `now` was still earlier,
+//!    so every lane entry carries a later sequence number; and `now`
+//!    cannot advance past a non-empty lane, because the lane pins the
+//!    queue's minimum at `now`. Router kernels push at the current
+//!    instant on most events (wakeups, same-instant re-arbitration), so
+//!    the lane turns their sorted insert into a deque append.
 
 use std::collections::VecDeque;
 
@@ -102,12 +110,16 @@ pub struct LadderQueue<E> {
     base_ps: u64,
     /// The active bucket: sorted by `(time, seq)`, drained from the front.
     /// Invariant: whenever `len > 0`, `buckets[cur]` is non-empty and its
-    /// front entry is the global minimum.
+    /// front entry is the minimum over the buckets and the overflow rung.
     cur: usize,
     /// The far rung: events beyond the window, in push order.
     overflow: Vec<Entry<E>>,
     /// Reused by `rewindow` to partition `overflow` without allocating.
     scratch: Vec<Entry<E>>,
+    /// The current-instant lane: events pushed at exactly `now`, in push
+    /// order, served after the bucketed entries at `now`.
+    lane: VecDeque<E>,
+    /// Entries in the buckets and the overflow rung (the lane excluded).
     len: usize,
     now: SimTime,
     popped: u64,
@@ -128,6 +140,7 @@ impl<E> LadderQueue<E> {
             cur: 0,
             overflow: Vec::new(),
             scratch: Vec::new(),
+            lane: VecDeque::new(),
             len: 0,
             now: SimTime::ZERO,
             popped: 0,
@@ -139,17 +152,19 @@ impl<E> LadderQueue<E> {
     }
 
     /// Creates an empty queue sized for roughly `capacity` simultaneously
-    /// pending events: the overflow rung, the scratch buffer, and every
-    /// bucket each hold that many before reallocating. Buckets get the
-    /// full hint — not `capacity / N_BUCKETS` — because the pending set
-    /// can momentarily cluster in one bucket, and a zero-allocation steady
-    /// state requires that no bucket ever grows mid-run (buckets retain
-    /// whatever capacity they reach, so even an undersized queue allocates
-    /// only during warm-up).
+    /// pending events: the overflow rung, the scratch buffer, the
+    /// current-instant lane, and every bucket each hold that many before
+    /// reallocating. Buckets get the full hint — not
+    /// `capacity / N_BUCKETS` — because the pending set can momentarily
+    /// cluster in one bucket, and a zero-allocation steady state requires
+    /// that no bucket ever grows mid-run (buckets retain whatever capacity
+    /// they reach, so even an undersized queue allocates only during
+    /// warm-up).
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = LadderQueue::new();
         q.overflow.reserve(capacity);
         q.scratch.reserve(capacity);
+        q.lane.reserve(capacity);
         let per_bucket = capacity.max(4);
         for bucket in &mut q.buckets {
             bucket.reserve(per_bucket);
@@ -218,20 +233,27 @@ impl<E> LadderQueue<E> {
             self.now
         );
         self.pushed += 1;
+        if time == self.now {
+            // Every bucketed entry at `now` was pushed earlier, so the
+            // lane's FIFO tail is exactly this entry's (time, seq) slot.
+            self.lane.push_back(event);
+            self.peak = self.peak.max(self.len());
+            return;
+        }
         let entry = Entry { time, event };
         let t = time.as_ps();
         if self.len == 0 {
-            // Empty queue: re-anchor the window at this event.
+            // No bucketed entries: re-anchor the window at this event.
             self.base_ps = t;
             self.cur = 0;
             self.buckets[0].push_back(entry);
             self.set_occ(0);
             self.len = 1;
-            self.peak = self.peak.max(1);
+            self.peak = self.peak.max(self.len());
             return;
         }
         self.len += 1;
-        self.peak = self.peak.max(self.len);
+        self.peak = self.peak.max(self.len());
         let Some(off) = t.checked_sub(self.base_ps) else {
             // Earlier than the window start: the window was anchored at a
             // later event while this push is still ≥ now. Re-anchor at t;
@@ -371,8 +393,20 @@ impl<E> LadderQueue<E> {
         }
     }
 
+    /// True if the active bucket fronts an entry at exactly `now` — one
+    /// pushed before `now` advanced, which precedes the whole lane.
+    #[inline]
+    fn bucket_at_now(&self) -> bool {
+        self.len > 0 && self.buckets[self.cur].front().expect("invariant").time == self.now
+    }
+
     /// Removes and returns the earliest event, advancing [`LadderQueue::now`].
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if !self.lane.is_empty() && !self.bucket_at_now() {
+            let event = self.lane.pop_front().expect("checked non-empty");
+            self.popped += 1;
+            return Some((self.now, event));
+        }
         if self.len == 0 {
             return None;
         }
@@ -397,35 +431,46 @@ impl<E> LadderQueue<E> {
     /// unchanged, but it touches the occupancy bitmap and active-bucket
     /// bookkeeping once per *instant* instead of once per event. Same-time
     /// entries always share a bucket (bucket index is a pure function of
-    /// the time), so the run is contiguous at the front of the active
-    /// bucket.
+    /// the time), so the bucketed part of the run is contiguous at the
+    /// front of the active bucket; at `now` the whole lane follows it.
     pub fn pop_batch_into(&mut self, out: &mut Vec<E>) -> Option<(SimTime, usize)> {
-        if self.len == 0 {
+        let t = if !self.lane.is_empty() {
+            self.now
+        } else if self.len > 0 {
+            self.buckets[self.cur].front().expect("invariant").time
+        } else {
             return None;
-        }
-        let bucket = &mut self.buckets[self.cur];
-        let t = bucket.front().expect("invariant").time;
+        };
         let mut n = 0usize;
-        while bucket.front().is_some_and(|e| e.time == t) {
-            let entry = bucket.pop_front().expect("checked non-empty");
-            out.push(entry.event);
-            n += 1;
-        }
-        self.len -= n;
-        self.now = t;
-        self.popped += n as u64;
-        if self.buckets[self.cur].is_empty() {
-            self.clear_occ(self.cur);
-            if self.len > 0 {
-                self.advance_cur();
+        if self.len > 0 {
+            let bucket = &mut self.buckets[self.cur];
+            while bucket.front().is_some_and(|e| e.time == t) {
+                let entry = bucket.pop_front().expect("checked non-empty");
+                out.push(entry.event);
+                n += 1;
+            }
+            self.len -= n;
+            if self.buckets[self.cur].is_empty() {
+                self.clear_occ(self.cur);
+                if self.len > 0 {
+                    self.advance_cur();
+                }
             }
         }
+        n += self.lane.len();
+        out.extend(self.lane.drain(..));
+        self.now = t;
+        self.popped += n as u64;
         Some((t, n))
     }
 
-    /// The firing time of the earliest pending event, if any. O(1): the
-    /// active-bucket invariant keeps the minimum at the front.
+    /// The firing time of the earliest pending event, if any. O(1): a
+    /// non-empty lane pins the minimum at `now`, and otherwise the
+    /// active-bucket invariant keeps it at the front.
     pub fn peek_time(&self) -> Option<SimTime> {
+        if !self.lane.is_empty() {
+            return Some(self.now);
+        }
         if self.len == 0 {
             return None;
         }
@@ -440,12 +485,12 @@ impl<E> LadderQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.len
+        self.len + self.lane.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len == 0 && self.lane.is_empty()
     }
 
     /// Total events popped since construction.

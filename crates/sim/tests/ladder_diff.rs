@@ -42,6 +42,30 @@ impl HeapQueue {
     fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|s| s.time)
     }
+
+    /// Pops the whole same-time run at the head, like
+    /// `LadderQueue::pop_batch_into`.
+    fn pop_batch(&mut self) -> Option<(SimTime, Vec<u32>)> {
+        let t = self.peek_time()?;
+        let mut run = Vec::new();
+        while self.peek_time() == Some(t) {
+            run.push(self.pop().expect("peeked").1);
+        }
+        Some((t, run))
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Pending entries at `time` tagged below `tag`, i.e. pushed before
+    /// that tag was issued (tags are issued in push order).
+    fn count_at_before(&self, time: SimTime, tag: u32) -> usize {
+        self.heap
+            .iter()
+            .filter(|s| s.time == time && s.event < tag)
+            .count()
+    }
 }
 
 const WINDOW_PS: u64 = N_BUCKETS as u64 * BUCKET_PS;
@@ -158,4 +182,142 @@ fn ladder_matches_reference_on_pure_same_instant_bursts() {
             break;
         }
     }
+}
+
+/// Mixed single pops and batch drains with a branch that pushes at exactly
+/// `now` — the ladder's current-instant lane. The branch fires before the
+/// first pop, between single pops while entries bucketed at `now` remain
+/// (pushed before `now` advanced, so they must pop ahead of the lane), and
+/// right after a batch drain; each case must be reached.
+fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
+    let mut rng = SimRng::seed_from(seed);
+    let mut ladder: LadderQueue<u32> = LadderQueue::new();
+    let mut heap = HeapQueue::new();
+    let mut recent: Vec<u64> = Vec::new();
+    let mut batch = Vec::new();
+    let mut now = 0u64;
+    let mut tag = 0u32;
+    // The first tag issued after `now` last advanced: pending entries at
+    // `now` tagged below it sit in a bucket, the rest in the lane.
+    let mut advanced_at_tag = 0u32;
+    let mut popped_any = false;
+    let mut after_batch = false;
+    let mut after_single = false;
+    let mut heap_peak = 0usize;
+
+    for op in 0..ops {
+        match rng.below(10) {
+            // Push at exactly `now`.
+            0..=2 => {
+                let at = SimTime::from_ps(now);
+                if !popped_any {
+                    reached[0] += 1;
+                } else if after_single && heap.count_at_before(at, advanced_at_tag) > 0 {
+                    reached[1] += 1;
+                } else if after_batch {
+                    reached[2] += 1;
+                }
+                for _ in 0..1 + rng.geometric(0.5, 6) {
+                    ladder.push(at, tag);
+                    heap.push(at, tag);
+                    tag += 1;
+                }
+                after_batch = false;
+                after_single = false;
+            }
+            // Push ahead of `now`, biased toward the adversarial offsets.
+            3..=5 => {
+                for _ in 0..1 + rng.geometric(0.4, 8) {
+                    let t = now + draw_offset(&mut rng, &recent);
+                    recent.push(t);
+                    if recent.len() > 8 {
+                        recent.remove(0);
+                    }
+                    ladder.push(SimTime::from_ps(t), tag);
+                    heap.push(SimTime::from_ps(t), tag);
+                    tag += 1;
+                }
+                after_batch = false;
+                after_single = false;
+            }
+            // Single pops.
+            6..=7 => {
+                for _ in 0..1 + rng.geometric(0.5, 4) {
+                    let l = ladder.pop();
+                    assert_eq!(l, heap.pop(), "pop diverged (seed {seed}, op {op})");
+                    let Some((t, _)) = l else { break };
+                    popped_any = true;
+                    if t.as_ps() != now {
+                        now = t.as_ps();
+                        advanced_at_tag = tag;
+                    }
+                }
+                after_batch = false;
+                after_single = true;
+            }
+            // One batch drain.
+            _ => {
+                batch.clear();
+                let l = ladder.pop_batch_into(&mut batch);
+                let h = heap.pop_batch();
+                assert_eq!(
+                    l.map(|(t, n)| (t, batch.clone(), n)),
+                    h.map(|(t, run)| {
+                        let n = run.len();
+                        (t, run, n)
+                    }),
+                    "batch diverged (seed {seed}, op {op})"
+                );
+                if let Some((t, _)) = l {
+                    popped_any = true;
+                    if t.as_ps() != now {
+                        now = t.as_ps();
+                        advanced_at_tag = tag;
+                    }
+                }
+                after_batch = l.is_some();
+                after_single = false;
+            }
+        }
+        heap_peak = heap_peak.max(heap.len());
+        assert_eq!(
+            ladder.peek_time(),
+            heap.peek_time(),
+            "peek (seed {seed}, op {op})"
+        );
+        assert_eq!(ladder.len(), heap.len(), "len (seed {seed}, op {op})");
+        assert_eq!(ladder.is_empty(), heap.len() == 0);
+        assert_eq!(ladder.peak_len(), heap_peak, "peak (seed {seed}, op {op})");
+        assert_eq!(ladder.now(), SimTime::from_ps(now));
+    }
+
+    loop {
+        let l = ladder.pop();
+        assert_eq!(l, heap.pop(), "drain pop diverged (seed {seed})");
+        if l.is_none() {
+            break;
+        }
+    }
+    assert!(ladder.is_empty());
+}
+
+#[test]
+fn ladder_lane_matches_reference_under_batch_drains_and_pushes_at_now() {
+    let mut reached = [0usize; 3];
+    for seed in 0..32 {
+        run_lane_schedule(0x1A4E_0000 + seed, 3_000, &mut reached);
+    }
+    let [before_first_pop, behind_bucketed, after_batch] = reached;
+    assert!(
+        before_first_pop > 0,
+        "never pushed at now before the first pop"
+    );
+    assert!(
+        behind_bucketed > 0,
+        "never pushed at now while bucketed entries at now remained"
+    );
+    assert!(
+        after_batch > 0,
+        "never pushed at now right after a batch drain"
+    );
 }
