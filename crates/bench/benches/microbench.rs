@@ -22,11 +22,11 @@ fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("{name:<40} {:>12.3} us/iter", per_iter * 1e6);
 }
 
-fn event_times() -> Vec<SimTime> {
+fn event_times(n: usize) -> Vec<SimTime> {
     // Pseudo-random but deterministic times.
-    let mut times = Vec::with_capacity(10_000);
+    let mut times = Vec::with_capacity(n);
     let mut x: u64 = 0x2545_F491_4F6C_DD1D;
-    for _ in 0..10_000 {
+    for _ in 0..n {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
@@ -35,19 +35,25 @@ fn event_times() -> Vec<SimTime> {
     times
 }
 
+/// Pushes every time in `times`, then pops the queue empty: the worst case
+/// for a per-instant queue, where nearly every push opens its own instant.
+fn push_pop_all(times: &[SimTime]) -> usize {
+    let mut q = EventQueue::with_capacity(times.len());
+    for (i, &t) in times.iter().enumerate() {
+        q.push(t, i);
+    }
+    let mut sum = 0usize;
+    while let Some((_, e)) = q.pop() {
+        sum += e;
+    }
+    sum
+}
+
 fn main() {
-    let times = event_times();
-    bench("event_queue_push_pop_10k", 100, || {
-        let mut q = EventQueue::with_capacity(times.len());
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i);
-        }
-        let mut sum = 0usize;
-        while let Some((_, e)) = q.pop() {
-            sum += e;
-        }
-        sum
-    });
+    let times = event_times(10_000);
+    bench("event_queue_push_pop_10k", 100, || push_pop_all(&times));
+    let times = event_times(100_000);
+    bench("event_queue_push_pop_100k", 10, || push_pop_all(&times));
 
     for kind in TopologyKind::ALL {
         let topo = Topology::build(kind, &Placement::homogeneous(16, CubeTech::Dram)).unwrap();

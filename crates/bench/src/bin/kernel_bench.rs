@@ -13,15 +13,13 @@
 //!   over [`ROUNDS`] rounds, interleaved across cases so a slow stretch of
 //!   the machine hits every case alike; the report is the median round,
 //!   with the interquartile range of ns/event as its spread.
-//! - **peak queue depth** — the ladder queue's high-water mark.
+//! - **peak queue depth** — the event queue's high-water mark.
 //! - **allocations per 1k events** — counted by a wrapping global
 //!   allocator, both for the whole run and for the *steady state* alone
 //!   (the simulation loop after construction). Arena-backed packets and
 //!   pooled buffers drive the steady-state figure to zero.
-//! - **ladder spills / rewindows and arena high-water** — the kernel v3
-//!   counters ([`mn_sim::KernelCounters`]); spills say how often events
-//!   landed beyond the bucket window, the arena high-water bounds the
-//!   packet working set.
+//! - **arena high-water** — from [`mn_sim::KernelCounters`]; it bounds
+//!   the packet working set.
 //!
 //! Results go to stdout (human-readable) and to `BENCH_kernel.json`
 //! (`MN_BENCH_OUT` to relocate), so CI can archive the perf trajectory
@@ -94,8 +92,6 @@ struct Measurement {
     events_per_sec: f64,
     allocs_per_1k_events: f64,
     steady_allocs_per_1k_events: f64,
-    bucket_spills: u64,
-    rewindows: u64,
     arena_high_water: u64,
     wall_per_iter_ms: f64,
 }
@@ -171,8 +167,6 @@ fn summarize(case: &Case, run: &CaseRun) -> Measurement {
         events_per_sec: 1e9 / median,
         allocs_per_1k_events: run.allocs as f64 * 1000.0 / total_events as f64,
         steady_allocs_per_1k_events: run.steady_allocs as f64 * 1000.0 / total_events as f64,
-        bucket_spills: run.kernel.bucket_spills,
-        rewindows: run.kernel.rewindows,
         arena_high_water: run.kernel.arena_high_water,
         wall_per_iter_ms: median * run.events_per_iter as f64 / 1e6,
     }
@@ -227,7 +221,7 @@ fn main() {
         }
     }
     println!(
-        "{:<22} {:>12} {:>8} {:>9} {:>7} {:>13} {:>11} {:>11} {:>7} {:>8} {:>8} {:>10}",
+        "{:<22} {:>12} {:>8} {:>9} {:>7} {:>13} {:>11} {:>11} {:>8} {:>10}",
         "case",
         "events/iter",
         "peak q",
@@ -236,8 +230,6 @@ fn main() {
         "events/sec",
         "alloc/1kev",
         "steady/1k",
-        "spills",
-        "rewind",
         "arena",
         "ms/iter"
     );
@@ -245,7 +237,7 @@ fn main() {
     for (case, run) in cases.iter().zip(&runs) {
         let m = summarize(case, run);
         println!(
-            "{:<22} {:>12} {:>8} {:>9.1} {:>7.1} {:>13.0} {:>11.2} {:>11.3} {:>7} {:>8} {:>8} {:>10.3}",
+            "{:<22} {:>12} {:>8} {:>9.1} {:>7.1} {:>13.0} {:>11.2} {:>11.3} {:>8} {:>10.3}",
             m.name,
             m.events_per_iter,
             m.queue_peak,
@@ -254,8 +246,6 @@ fn main() {
             m.events_per_sec,
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
-            m.bucket_spills,
-            m.rewindows,
             m.arena_high_water,
             m.wall_per_iter_ms
         );
@@ -272,7 +262,7 @@ fn main() {
              \"ns_per_event\":{:.3},\"ns_per_event_iqr\":{:.3},\"rounds\":{},\
              \"events_per_sec\":{:.0},\
              \"allocs_per_1k_events\":{:.2},\"steady_allocs_per_1k_events\":{:.3},\
-             \"bucket_spills\":{},\"rewindows\":{},\"arena_high_water\":{},\
+             \"arena_high_water\":{},\
              \"wall_per_iter_ms\":{:.3}}}{comma}",
             m.name,
             m.events_per_iter,
@@ -283,8 +273,6 @@ fn main() {
             m.events_per_sec,
             m.allocs_per_1k_events,
             m.steady_allocs_per_1k_events,
-            m.bucket_spills,
-            m.rewindows,
             m.arena_high_water,
             m.wall_per_iter_ms
         );

@@ -158,9 +158,8 @@ impl PortObservation {
     }
 
     /// The full kernel counter snapshot for this port: queue traffic,
-    /// ladder spill/rewindow activity, arena high-water mark, and the
-    /// steady-state heap-allocation tally (non-zero only under a counting
-    /// allocator, e.g. `kernel_bench`).
+    /// arena high-water mark, and the steady-state heap-allocation tally
+    /// (non-zero only under a counting allocator, e.g. `kernel_bench`).
     pub fn kernel_counters(&self) -> KernelCounters {
         self.kernel
     }

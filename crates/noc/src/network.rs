@@ -439,30 +439,11 @@ impl Network {
             batch,
         } = storage;
         let stats = NetStats::new(topo.link_count());
-        // Pre-size the heap for the common working set — order one
+        // Pre-size the event queue for the common working set — order one
         // arbitration event per node plus one in-flight packet per link
-        // direction, doubled for wake cascades. The heap still grows past
-        // this under heavy transients; the hint only avoids the early
-        // doubling reallocations in every simulation's warm-up.
+        // direction, doubled for wake cascades — so its slots exist before
+        // the run starts and the steady state does not allocate.
         let event_capacity = 2 * (topo.node_count() + 2 * topo.link_count());
-        // Tune the ladder bucket width to the topology's event horizon:
-        // the minimum single-link traversal (fixed latency + control-
-        // packet serialization) is the shortest interval the simulation
-        // routinely schedules across, so one 256-bucket window then spans
-        // a few hundred of the *fastest* hops regardless of the SerDes
-        // timing swept. Clamped to [128, 65536] ps so degenerate timings
-        // neither collapse the window nor blow up bucket granularity;
-        // linkless topologies keep the kernel default. Pop order — and
-        // hence every result byte — is width-independent (see
-        // `mn_sim::ladder`); only the spill/rewindow counters move.
-        let bucket_ps = topo
-            .link_ids()
-            .map(|l| {
-                let timing = config.link_timing(topo.link(l).class);
-                (timing.fixed_latency + timing.serialize(config.control_bytes)).as_ps()
-            })
-            .min()
-            .map_or(mn_sim::ladder::BUCKET_PS, |ps| ps.clamp(128, 65_536));
         Ok(Network {
             routes,
             config,
@@ -474,7 +455,7 @@ impl Network {
             packets,
             link_free_at,
             neighbor_ports,
-            events: EventQueue::with_capacity_and_bucket(event_capacity, bucket_ps),
+            events: EventQueue::with_capacity(event_capacity),
             arb_clean,
             last_arb,
             ready_pending,
@@ -539,6 +520,7 @@ impl Network {
     }
 
     /// True if `packet` could be injected at `node`/`local_port` right now.
+    #[inline]
     pub fn can_inject(&self, node: NodeId, local_port: usize, packet: &Packet) -> bool {
         let meta = self.meta[node.index()];
         assert!(
@@ -591,6 +573,7 @@ impl Network {
     }
 
     /// The next instant at which [`Network::advance`] can make progress.
+    #[inline]
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.events.peek_time()
     }
@@ -618,8 +601,8 @@ impl Network {
         ready.clear();
         let mut batch = std::mem::take(&mut self.batch);
         while self.events.peek_time().is_some_and(|t| t <= now) {
-            // Take the entire same-instant run in one call: the ladder's
-            // per-pop bucket bookkeeping is amortized over the run, and
+            // Take the entire same-instant run in one call: the queue
+            // swaps the instant's FIFO into `batch` without copying, and
             // the flattened sequence is identical to popping one at a
             // time. Events pushed at `t` *while processing the batch*
             // carry later sequence numbers than every batch member, so
@@ -700,6 +683,7 @@ impl Network {
     /// The packet [`Network::take_delivery`] would return next at `node`,
     /// without removing it. Lets cube logic check controller space before
     /// committing — the backpressure path.
+    #[inline]
     pub fn peek_delivery(&self, node: NodeId) -> Option<&Packet> {
         VirtualChannel::PRIORITY_ORDER.iter().find_map(|vc| {
             self.eject[node.index() * VC + vc.index()]
@@ -709,6 +693,7 @@ impl Network {
     }
 
     /// True if `node` has a deliverable packet waiting.
+    #[inline]
     pub fn has_delivery(&self, node: NodeId) -> bool {
         self.eject[node.index() * VC..node.index() * VC + VC]
             .iter()
@@ -1051,24 +1036,18 @@ impl Network {
         self.events.peak_len()
     }
 
-    /// The ladder bucket width the event queue was tuned to at
-    /// construction: the topology's minimum link traversal time, clamped
-    /// to [128, 65536] ps (kernel default for linkless topologies).
-    pub fn event_bucket_width_ps(&self) -> u64 {
-        self.events.bucket_width_ps()
-    }
-
     /// Snapshot of the kernel-level performance counters: event-queue
-    /// traffic, ladder spill/rewindow activity, and the packet arena's
-    /// high-water mark. `steady_heap_allocs` is left at zero — only the
-    /// driving binary can observe the global allocator.
+    /// traffic and the packet arena's high-water mark. `bucket_spills` and
+    /// `rewindows` are always zero (the queue has neither), and
+    /// `steady_heap_allocs` is left at zero — only the driving binary can
+    /// observe the global allocator.
     pub fn kernel_counters(&self) -> KernelCounters {
         KernelCounters {
             events_scheduled: self.events.events_scheduled(),
             events_processed: self.events.events_processed(),
             queue_peak: self.events.peak_len() as u64,
-            bucket_spills: self.events.bucket_spills(),
-            rewindows: self.events.rewindow_count(),
+            bucket_spills: 0,
+            rewindows: 0,
             arena_high_water: self.packets.high_water() as u64,
             steady_heap_allocs: 0,
         }
@@ -1253,25 +1232,6 @@ mod tests {
             assert_eq!(a.arrived_at, b.arrived_at);
             assert_eq!(a.packet.id, b.packet.id);
         }
-    }
-
-    #[test]
-    fn bucket_width_derives_from_fastest_link() {
-        // Default chain: external links only, min traversal
-        // 16 B x 33 ps/B + 2 ns = 2528 ps.
-        let topo = chain(3);
-        let net = Network::new(&topo, NocConfig::default());
-        assert_eq!(net.event_bucket_width_ps(), 16 * 33 + 2000);
-        // Sub-128 ps traversals clamp up so the window stays useful.
-        let cfg = NocConfig {
-            external_link: crate::config::LinkTiming {
-                ps_per_byte: 1,
-                fixed_latency: mn_sim::SimDuration::ZERO,
-            },
-            ..NocConfig::default()
-        };
-        let net = Network::new(&topo, cfg);
-        assert_eq!(net.event_bucket_width_ps(), 128);
     }
 
     #[test]

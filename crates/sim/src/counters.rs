@@ -11,9 +11,9 @@
 //!   allocations attributable to simulation alone (construction and
 //!   teardown excluded). In binaries without a counting allocator the
 //!   tally simply stays at zero.
-//! - [`KernelCounters`], a per-run snapshot of queue traffic, ladder
-//!   spills, and arena high-water marks that the network and port layers
-//!   fill in and the bench binary serializes.
+//! - [`KernelCounters`], a per-run snapshot of queue traffic and arena
+//!   high-water marks that the network and port layers fill in and the
+//!   bench binary serializes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,9 +45,12 @@ pub struct KernelCounters {
     pub events_processed: u64,
     /// High-water mark of simultaneously pending events.
     pub queue_peak: u64,
-    /// Ladder pushes that missed the bucket window (overflow-rung traffic).
+    /// Always zero: the event queue has no bucket window to spill from.
+    /// Kept only because the `perfbench` run schema reads it, until that
+    /// schema's next revision.
     pub bucket_spills: u64,
-    /// Ladder window re-anchors from the overflow rung.
+    /// Always zero: the event queue has no window to re-anchor. Kept for
+    /// the `perfbench` run schema like `bucket_spills`.
     pub rewindows: u64,
     /// High-water mark of live packets in the packet arena.
     pub arena_high_water: u64,

@@ -9,6 +9,13 @@
 //! routers, or packets. Higher layers define their own event payload types
 //! and drive an [`EventQueue`] to completion.
 //!
+//! ## Event order
+//!
+//! [`EventQueue`] pops in exactly `(time, insertion sequence)` order: one
+//! FIFO per pending instant, under a binary heap of the open instants.
+//! Same-instant events pop in push order by construction, which is what
+//! makes every simulation in the workspace bit-reproducible.
+//!
 //! ## Time base
 //!
 //! Simulated time is measured in **picoseconds** stored in a `u64`. At
@@ -38,7 +45,6 @@
 mod arena;
 pub mod counters;
 mod event;
-pub mod ladder;
 mod rng;
 mod slab;
 mod stats;
@@ -48,7 +54,6 @@ mod watchdog;
 pub use arena::{ArenaRef, GenArena};
 pub use counters::KernelCounters;
 pub use event::{EventQueue, Scheduled};
-pub use ladder::LadderQueue;
 pub use rng::SimRng;
 pub use slab::SeqSlab;
 pub use stats::{Accumulator, Counter, Histogram, RunningStats};

@@ -1,18 +1,18 @@
-//! Differential property test: the ladder queue against a binary-heap
+//! Differential property test: [`EventQueue`] against a binary-heap
 //! reference, driven with identical randomized push/pop schedules.
 //!
 //! The reference is the exact structure `EventQueue` used before kernel
 //! v3 — a max-heap of [`Scheduled`] entries whose inverted `(time, seq)`
 //! ordering delivers same-instant events in FIFO order. The goldens pin
-//! that pop order bit-for-bit, so the ladder must reproduce it exactly on
-//! every schedule, including same-instant bursts, bucket-boundary times,
-//! window-overflowing far-future pushes, and pushes behind the window
-//! anchor.
+//! that pop order bit-for-bit, so the queue must reproduce it exactly on
+//! every schedule, including same-instant bursts, pushes at the current
+//! instant, far-future pushes, and pushes ahead of the earliest pending
+//! instant. (The test names date from the ladder queue the per-instant
+//! queue replaced; the schedules are unchanged.)
 
 use std::collections::BinaryHeap;
 
-use mn_sim::ladder::{BUCKET_PS, N_BUCKETS};
-use mn_sim::{LadderQueue, Scheduled, SimRng, SimTime};
+use mn_sim::{EventQueue, Scheduled, SimRng, SimTime};
 
 /// The pre-v3 `EventQueue` core: a `BinaryHeap` with an insertion-seq
 /// tie-break.
@@ -44,7 +44,7 @@ impl HeapQueue {
     }
 
     /// Pops the whole same-time run at the head, like
-    /// `LadderQueue::pop_batch_into`.
+    /// `EventQueue::pop_batch_into`.
     fn pop_batch(&mut self) -> Option<(SimTime, Vec<u32>)> {
         let t = self.peek_time()?;
         let mut run = Vec::new();
@@ -68,19 +68,23 @@ impl HeapQueue {
     }
 }
 
-const WINDOW_PS: u64 = N_BUCKETS as u64 * BUCKET_PS;
+/// The offset grid the schedules draw from: the bucket width and
+/// 256-bucket window of the former ladder queue. Kept so the schedules
+/// mix near, boundary-aligned and far-future instants exactly as before.
+const BUCKET_PS: u64 = 512;
+const N_BUCKETS: u64 = 256;
+const WINDOW_PS: u64 = N_BUCKETS * BUCKET_PS;
 
 /// Draws a schedule-relative firing offset, biased toward the adversarial
-/// cases: same-instant reuse, exact bucket/window boundaries, and
-/// far-future spills.
+/// cases: same-instant reuse, aligned instants, and far-future pushes.
 fn draw_offset(rng: &mut SimRng, recent: &[u64]) -> u64 {
     match rng.below(10) {
         // Same instant as a recent push: exercises every FIFO tie path.
         0..=2 if !recent.is_empty() => recent[rng.below(recent.len() as u64) as usize],
-        // Exact bucket boundaries around the window anchor.
+        // Grid-aligned instants near `now`.
         3 => rng.below(4) * BUCKET_PS,
-        4 => (rng.below(N_BUCKETS as u64) + 1) * BUCKET_PS - 1,
-        // Beyond the window: overflow rung + rewindow.
+        4 => (rng.below(N_BUCKETS) + 1) * BUCKET_PS - 1,
+        // Far future.
         5 => WINDOW_PS + rng.below(3 * WINDOW_PS),
         6 => WINDOW_PS * rng.below(8),
         // Short horizon, the common case.
@@ -90,7 +94,7 @@ fn draw_offset(rng: &mut SimRng, recent: &[u64]) -> u64 {
 
 fn run_schedule(seed: u64, ops: usize) {
     let mut rng = SimRng::seed_from(seed);
-    let mut ladder: LadderQueue<u32> = LadderQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
     let mut heap = HeapQueue::new();
     let mut recent: Vec<u64> = Vec::new();
     let mut now = 0u64;
@@ -98,8 +102,8 @@ fn run_schedule(seed: u64, ops: usize) {
 
     for op in 0..ops {
         // Bias toward pushes so the queues stay populated, with occasional
-        // pop bursts that drain across bucket and window boundaries.
-        let do_push = ladder.is_empty() || rng.below(100) < 55;
+        // pop bursts that drain across many instants.
+        let do_push = queue.is_empty() || rng.below(100) < 55;
         if do_push {
             let burst = 1 + rng.geometric(0.4, 8);
             for _ in 0..burst {
@@ -108,7 +112,7 @@ fn run_schedule(seed: u64, ops: usize) {
                 if recent.len() > 8 {
                     recent.remove(0);
                 }
-                ladder.push(SimTime::from_ps(t), tag);
+                queue.push(SimTime::from_ps(t), tag);
                 heap.push(SimTime::from_ps(t), tag);
                 tag += 1;
             }
@@ -116,11 +120,11 @@ fn run_schedule(seed: u64, ops: usize) {
             let burst = 1 + rng.geometric(0.5, 16) as usize;
             for _ in 0..burst {
                 assert_eq!(
-                    ladder.peek_time(),
+                    queue.peek_time(),
                     heap.peek_time(),
                     "peek diverged (seed {seed}, op {op})"
                 );
-                let l = ladder.pop();
+                let l = queue.pop();
                 let h = heap.pop();
                 assert_eq!(l, h, "pop diverged (seed {seed}, op {op})");
                 match l {
@@ -134,18 +138,18 @@ fn run_schedule(seed: u64, ops: usize) {
     // Drain both queues to the end.
     loop {
         assert_eq!(
-            ladder.peek_time(),
+            queue.peek_time(),
             heap.peek_time(),
             "drain peek (seed {seed})"
         );
-        let l = ladder.pop();
+        let l = queue.pop();
         let h = heap.pop();
         assert_eq!(l, h, "drain pop diverged (seed {seed})");
         if l.is_none() {
             break;
         }
     }
-    assert!(ladder.is_empty());
+    assert!(queue.is_empty());
 }
 
 #[test]
@@ -166,17 +170,17 @@ fn ladder_matches_reference_on_long_schedules() {
 fn ladder_matches_reference_on_pure_same_instant_bursts() {
     // Everything at a handful of instants: the pop order is decided purely
     // by the FIFO tie-break.
-    let mut ladder: LadderQueue<u32> = LadderQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
     let mut heap = HeapQueue::new();
     let mut rng = SimRng::seed_from(77);
     let instants = [0u64, 1, BUCKET_PS - 1, BUCKET_PS, WINDOW_PS, WINDOW_PS + 1];
     for tag in 0..3_000u32 {
         let t = SimTime::from_ps(instants[rng.below(instants.len() as u64) as usize]);
-        ladder.push(t, tag);
+        queue.push(t, tag);
         heap.push(t, tag);
     }
     loop {
-        let l = ladder.pop();
+        let l = queue.pop();
         assert_eq!(l, heap.pop());
         if l.is_none() {
             break;
@@ -185,20 +189,20 @@ fn ladder_matches_reference_on_pure_same_instant_bursts() {
 }
 
 /// Mixed single pops and batch drains with a branch that pushes at exactly
-/// `now` — the ladder's current-instant lane. The branch fires before the
-/// first pop, between single pops while entries bucketed at `now` remain
-/// (pushed before `now` advanced, so they must pop ahead of the lane), and
-/// right after a batch drain; each case must be reached.
+/// `now`. The branch fires before the first pop, between single pops while
+/// entries pushed before `now` advanced remain at `now` (they must pop
+/// ahead of the new pushes, which open a fresh slot behind the one being
+/// drained), and right after a batch drain; each case must be reached.
 fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
     let mut rng = SimRng::seed_from(seed);
-    let mut ladder: LadderQueue<u32> = LadderQueue::new();
+    let mut queue: EventQueue<u32> = EventQueue::new();
     let mut heap = HeapQueue::new();
     let mut recent: Vec<u64> = Vec::new();
     let mut batch = Vec::new();
     let mut now = 0u64;
     let mut tag = 0u32;
     // The first tag issued after `now` last advanced: pending entries at
-    // `now` tagged below it sit in a bucket, the rest in the lane.
+    // `now` tagged below it were pushed before `now` reached them.
     let mut advanced_at_tag = 0u32;
     let mut popped_any = false;
     let mut after_batch = false;
@@ -218,7 +222,7 @@ fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
                     reached[2] += 1;
                 }
                 for _ in 0..1 + rng.geometric(0.5, 6) {
-                    ladder.push(at, tag);
+                    queue.push(at, tag);
                     heap.push(at, tag);
                     tag += 1;
                 }
@@ -233,7 +237,7 @@ fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
                     if recent.len() > 8 {
                         recent.remove(0);
                     }
-                    ladder.push(SimTime::from_ps(t), tag);
+                    queue.push(SimTime::from_ps(t), tag);
                     heap.push(SimTime::from_ps(t), tag);
                     tag += 1;
                 }
@@ -243,7 +247,7 @@ fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
             // Single pops.
             6..=7 => {
                 for _ in 0..1 + rng.geometric(0.5, 4) {
-                    let l = ladder.pop();
+                    let l = queue.pop();
                     assert_eq!(l, heap.pop(), "pop diverged (seed {seed}, op {op})");
                     let Some((t, _)) = l else { break };
                     popped_any = true;
@@ -258,7 +262,7 @@ fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
             // One batch drain.
             _ => {
                 batch.clear();
-                let l = ladder.pop_batch_into(&mut batch);
+                let l = queue.pop_batch_into(&mut batch);
                 let h = heap.pop_batch();
                 assert_eq!(
                     l.map(|(t, n)| (t, batch.clone(), n)),
@@ -281,24 +285,24 @@ fn run_lane_schedule(seed: u64, ops: usize, reached: &mut [usize; 3]) {
         }
         heap_peak = heap_peak.max(heap.len());
         assert_eq!(
-            ladder.peek_time(),
+            queue.peek_time(),
             heap.peek_time(),
             "peek (seed {seed}, op {op})"
         );
-        assert_eq!(ladder.len(), heap.len(), "len (seed {seed}, op {op})");
-        assert_eq!(ladder.is_empty(), heap.len() == 0);
-        assert_eq!(ladder.peak_len(), heap_peak, "peak (seed {seed}, op {op})");
-        assert_eq!(ladder.now(), SimTime::from_ps(now));
+        assert_eq!(queue.len(), heap.len(), "len (seed {seed}, op {op})");
+        assert_eq!(queue.is_empty(), heap.len() == 0);
+        assert_eq!(queue.peak_len(), heap_peak, "peak (seed {seed}, op {op})");
+        assert_eq!(queue.now(), SimTime::from_ps(now));
     }
 
     loop {
-        let l = ladder.pop();
+        let l = queue.pop();
         assert_eq!(l, heap.pop(), "drain pop diverged (seed {seed})");
         if l.is_none() {
             break;
         }
     }
-    assert!(ladder.is_empty());
+    assert!(queue.is_empty());
 }
 
 #[test]
@@ -320,4 +324,99 @@ fn ladder_lane_matches_reference_under_batch_drains_and_pushes_at_now() {
         after_batch > 0,
         "never pushed at now right after a batch drain"
     );
+}
+
+/// At least 1,000 distinct far-future instants pending at once — each its
+/// own slot on the heap — drained by a mix of single pops, batch drains
+/// and further pushes, both at `now` and at instants already pending.
+#[test]
+fn many_far_future_instants_match_reference_under_mixed_drains() {
+    let mut rng = SimRng::seed_from(0xFA2_F07E);
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    let mut heap = HeapQueue::new();
+    let mut pending: Vec<u64> = Vec::new();
+    let mut batch = Vec::new();
+    let mut tag = 0u32;
+    let mut now = 0u64;
+    fn push(queue: &mut EventQueue<u32>, heap: &mut HeapQueue, t: u64, tag: &mut u32) {
+        queue.push(SimTime::from_ps(t), *tag);
+        heap.push(SimTime::from_ps(t), *tag);
+        *tag += 1;
+    }
+    for k in 0..1_500u64 {
+        // Distinct, scrambled instants milliseconds ahead.
+        let t = 1_000_000_000 + (k * 7_919 % 1_500) * 104_729;
+        pending.push(t);
+        push(&mut queue, &mut heap, t, &mut tag);
+    }
+    let distinct = |heap: &HeapQueue| {
+        let mut times: Vec<SimTime> = heap.heap.iter().map(|s| s.time).collect();
+        times.sort();
+        times.dedup();
+        times.len()
+    };
+    assert!(
+        distinct(&heap) >= 1_000,
+        "fewer than 1,000 distinct instants"
+    );
+
+    for op in 0..6_000 {
+        match rng.below(8) {
+            // Same-time pushes onto an instant that may already be pending.
+            0..=1 => {
+                let t = pending[rng.below(pending.len() as u64) as usize].max(now);
+                for _ in 0..1 + rng.below(3) {
+                    push(&mut queue, &mut heap, t, &mut tag);
+                }
+            }
+            // Pushes at exactly `now`.
+            2 => {
+                for _ in 0..1 + rng.below(3) {
+                    push(&mut queue, &mut heap, now, &mut tag);
+                }
+            }
+            // A fresh far-future instant.
+            3 => {
+                let t = now + 1_000_000 + rng.below(1_000_000_000);
+                pending.push(t);
+                push(&mut queue, &mut heap, t, &mut tag);
+            }
+            // Single pops.
+            4..=5 => {
+                for _ in 0..1 + rng.below(4) {
+                    let q = queue.pop();
+                    assert_eq!(q, heap.pop(), "pop diverged (op {op})");
+                    if let Some((t, _)) = q {
+                        now = t.as_ps();
+                    }
+                }
+            }
+            // One batch drain.
+            _ => {
+                batch.clear();
+                let q = queue
+                    .pop_batch_into(&mut batch)
+                    .map(|(t, n)| (t, batch.clone(), n));
+                let h = heap.pop_batch().map(|(t, run)| {
+                    let n = run.len();
+                    (t, run, n)
+                });
+                assert_eq!(q, h, "batch diverged (op {op})");
+                if let Some((t, _, _)) = q {
+                    now = t.as_ps();
+                }
+            }
+        }
+        assert_eq!(queue.peek_time(), heap.peek_time(), "peek (op {op})");
+        assert_eq!(queue.len(), heap.len(), "len (op {op})");
+        assert_eq!(queue.now(), SimTime::from_ps(now), "now (op {op})");
+    }
+    loop {
+        let q = queue.pop();
+        assert_eq!(q, heap.pop(), "drain pop diverged");
+        if q.is_none() {
+            break;
+        }
+    }
+    assert!(queue.is_empty());
 }
