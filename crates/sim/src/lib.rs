@@ -45,6 +45,7 @@
 mod arena;
 pub mod counters;
 mod event;
+pub mod ladder;
 mod rng;
 mod slab;
 mod stats;
