@@ -3,21 +3,20 @@
 //!
 //! Where `kernel_bench` times the DES kernel underneath one port,
 //! this times the *engine around it*: the work-stealing scheduler and
-//! the content-addressed cache's two hit paths. Three measurements, all
-//! in points/sec over the same grid:
+//! the content-addressed cache's hit path. Three measurements, all in
+//! points/sec over the same grid:
 //!
 //! - **cold** — every point freshly simulated through the shared
 //!   work-stealing pool (an empty cache directory).
-//! - **warm-disk** — the read + verify + decode hit path alone
-//!   ([`mn_campaign::DiskCache::load_uncached`]). This is what every warm
-//!   replay paid before the hot tier existed.
-//! - **warm-hot** — the full [`load`](mn_campaign::DiskCache::load) hit
-//!   path with the hot tier resident: one `stat` revalidation, zero
-//!   reads, zero decodes. CI gates on `warm_speedup = warm-hot /
-//!   warm-disk` staying ≥ 5×.
+//! - **warm-disk** — the campaign's hit path,
+//!   [`load_keyed`](mn_campaign::DiskCache::load_keyed): read, verify,
+//!   decode, count — with the metrics gate off.
+//! - **warm-disk+mtr** — the same loop with the metrics gate on, timed in
+//!   interleaved off/on pairs to give the gate's overhead.
 //!
-//! Results go to stdout (human-readable) and `BENCH_campaign.json`
-//! (`MN_BENCH_OUT` to relocate) so CI can archive the throughput
+//! Results go to stdout (human-readable) and to the `BENCH_campaign.json`
+//! at the root of the checkout this binary was built from
+//! (`MN_BENCH_OUT` to relocate), so CI can archive the throughput
 //! trajectory per-PR and show regressions as a diff, not an anecdote.
 
 use std::fmt::Write as _;
@@ -82,44 +81,14 @@ fn main() {
     );
     let cold_rate = n as f64 / cold_secs;
 
-    // --- warm-disk: the read+decode hit path, no hot tier ---------------
+    // --- warm-disk: the campaign's hit path ------------------------------
     // Fingerprints and cache keys are precomputed once, exactly as the
-    // campaign itself does, so both warm measurements time the hit path
-    // alone and the ratio between them is the hot tier's true win.
+    // campaign itself does, so the loop times the hit path alone.
     let cache = DiskCache::new(&cold_dir);
     let keys: Vec<(String, String)> = points
         .iter()
         .map(|p| (p.fingerprint(), p.cache_key()))
         .collect();
-    let warm_disk_rate = rate_of(n, || {
-        for (fingerprint, key) in &keys {
-            let result = cache
-                .load_uncached_keyed(fingerprint, key)
-                .expect("entry just stored");
-            std::hint::black_box(&result);
-        }
-    });
-
-    // --- warm-hot: the full load path with the hot tier resident --------
-    // The gate is pinned off/on around the paired measurements so the
-    // delta is the registry's true hot-path cost, not whatever
-    // MN_METRICS happened to be in the environment.
-    registry::set_metrics_enabled(false);
-    let warm_hot_rate = rate_of(n, || {
-        for (fingerprint, key) in &keys {
-            let result = cache
-                .load_keyed(fingerprint, key)
-                .expect("entry just stored");
-            std::hint::black_box(&result);
-        }
-    });
-    let warm_speedup = warm_hot_rate / warm_disk_rate;
-
-    // --- metrics overhead: the same warm-hot loop, gate off vs on --------
-    // Interleaved pairs, not two separate timing windows: on a busy or
-    // frequency-scaling machine two sequential 0.25 s windows disagree
-    // by far more than the one gated atomic under test costs, while
-    // alternating off/on passes see the same drift and cancel it.
     let one_pass = || {
         for (fingerprint, key) in &keys {
             let result = cache
@@ -128,7 +97,17 @@ fn main() {
             std::hint::black_box(&result);
         }
     };
-    one_pass(); // warm
+    // The gate is pinned off/on around the measurements so the delta is
+    // the registry's true hit-path cost, not whatever MN_METRICS happened
+    // to be in the environment.
+    registry::set_metrics_enabled(false);
+    let warm_disk_rate = rate_of(n, one_pass);
+
+    // --- metrics overhead: the same warm-disk loop, gate off vs on -------
+    // Interleaved pairs, not two separate timing windows: on a busy or
+    // frequency-scaling machine two sequential 0.25 s windows disagree
+    // by far more than the one gated atomic under test costs, while
+    // alternating off/on passes see the same drift and cancel it.
     let mut off_secs = 0.0f64;
     let mut on_secs = 0.0f64;
     let mut pairs = 0u32;
@@ -144,7 +123,7 @@ fn main() {
         pairs += 1;
     }
     registry::set_metrics_enabled(false);
-    let warm_hot_on_rate = f64::from(pairs) * n as f64 / on_secs;
+    let warm_disk_on_rate = f64::from(pairs) * n as f64 / on_secs;
     let metrics_overhead_pct = (on_secs / off_secs - 1.0) * 100.0;
 
     let _ = std::fs::remove_dir_all(&scratch);
@@ -157,31 +136,29 @@ fn main() {
     for (name, rate) in [
         ("cold", cold_rate),
         ("warm-disk", warm_disk_rate),
-        ("warm-hot", warm_hot_rate),
-        ("warm-hot+mtr", warm_hot_on_rate),
+        ("warm-disk+mtr", warm_disk_on_rate),
     ] {
         println!("{:<14} {:>14.0} {:>11.1}x", name, rate, rate / cold_rate);
     }
-    println!("warm speedup (hot vs read+decode): {warm_speedup:.1}x");
-    println!("metrics-on overhead on the warm-hot path: {metrics_overhead_pct:.2}%");
+    println!("metrics-on overhead on the warm-disk path: {metrics_overhead_pct:.2}%");
 
-    let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| "BENCH_campaign.json".to_string());
+    let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json").to_string()
+    });
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"available_cores\": {available_cores},");
     let _ = writeln!(json, "  \"workers\": {jobs},");
     let _ = writeln!(json, "  \"grid_points\": {n},");
     let _ = writeln!(json, "  \"cold_points_per_sec\": {cold_rate:.0},");
     let _ = writeln!(json, "  \"warm_disk_points_per_sec\": {warm_disk_rate:.0},");
-    let _ = writeln!(json, "  \"warm_hot_points_per_sec\": {warm_hot_rate:.0},");
     let _ = writeln!(
         json,
-        "  \"warm_hot_metrics_on_points_per_sec\": {warm_hot_on_rate:.0},"
+        "  \"warm_disk_metrics_on_points_per_sec\": {warm_disk_on_rate:.0},"
     );
     let _ = writeln!(
         json,
-        "  \"metrics_overhead_warm_hot_pct\": {metrics_overhead_pct:.2},"
+        "  \"metrics_overhead_warm_disk_pct\": {metrics_overhead_pct:.2}"
     );
-    let _ = writeln!(json, "  \"warm_speedup\": {warm_speedup:.2}");
     json.push_str("}\n");
     if let Err(err) = std::fs::write(&out, &json) {
         eprintln!("warning: could not write {out}: {err}");

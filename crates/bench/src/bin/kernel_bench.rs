@@ -17,11 +17,12 @@
 //! - **allocations per 1k events** — counted by a wrapping global
 //!   allocator, both for the whole run and for the *steady state* alone
 //!   (the simulation loop after construction). Arena-backed packets and
-//!   pooled buffers drive the steady-state figure to zero.
+//!   pre-sized buffers drive the steady-state figure to zero.
 //! - **arena high-water** — from [`mn_sim::KernelCounters`]; it bounds
 //!   the packet working set.
 //!
-//! Results go to stdout (human-readable) and to `BENCH_kernel.json`
+//! Results go to stdout (human-readable) and to the `BENCH_kernel.json`
+//! at the root of the checkout this binary was built from
 //! (`MN_BENCH_OUT` to relocate), so CI can archive the perf trajectory
 //! per-PR and regressions are visible as a diff, not an anecdote.
 
@@ -252,7 +253,9 @@ fn main() {
         measurements.push(m);
     }
 
-    let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".to_string());
+    let out = std::env::var("MN_BENCH_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json").to_string()
+    });
     let mut json = format!("{{\n  \"available_cores\": {available_cores},\n  \"benchmarks\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         let comma = if i + 1 < measurements.len() { "," } else { "" };

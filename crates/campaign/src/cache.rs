@@ -31,17 +31,14 @@
 //! lands last is as good as the first. Nothing on disk is ever removed
 //! except quarantined debris, by an explicit `mncube cache gc`.
 //!
-//! # The warm-replay hot tier
+//! # One tier
 //!
-//! Repeated grid replays used to pay a full read + decode per hit. Every
-//! `DiskCache` on the same directory now shares a process-wide *hot
-//! tier*: up to [`HOT_CAP`] decoded results, keyed by cache key and
-//! revalidated against the entry's `(len, mtime)` with a single `stat`
-//! call — a warm hit costs zero reads and zero decodes. (A true
-//! `mmap(2)` region was considered and rejected: this workspace is
-//! dependency-free and `#![forbid(unsafe_code)]`, and what replays
-//! actually pay for is decode, which a mapped file would still do per
-//! hit. See DESIGN.md §11.)
+//! Every hit is served from disk: read, verify, decode. Nothing decoded
+//! is kept in memory between loads, so a hit always returns the bytes
+//! on disk at that moment and there is nothing to revalidate. A
+//! process-wide memory of decoded results would serve almost no real
+//! hits — each figure binary is a fresh process — while every disk hit
+//! paid a `stat` and an insert for it (DESIGN.md §11).
 
 use std::collections::HashMap;
 use std::fs;
@@ -49,7 +46,6 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::SystemTime;
 
 use mn_core::RunResult;
 use mn_telemetry::registry;
@@ -58,9 +54,6 @@ use crate::codec::{decode_result, encode_result};
 use crate::point::CampaignPoint;
 
 const HEADER: &str = "mncampaign-cache v1";
-
-/// Decoded results the hot tier keeps per cache directory.
-const HOT_CAP: usize = 1024;
 
 /// Numbers temporary files process-wide, so no two stores in this
 /// process — from any `DiskCache` on any directory — share a temp name.
@@ -82,53 +75,9 @@ pub fn cache_disabled_by_env() -> bool {
     )
 }
 
-/// A decoded entry resident in the hot tier, revalidated against the
-/// on-disk file before every serve. Carries its own entry path so a hot
-/// hit allocates nothing.
-struct HotEntry {
-    fingerprint: String,
-    path: PathBuf,
-    len: u64,
-    mtime: Option<SystemTime>,
-    result: Arc<RunResult>,
-    used: u64,
-}
-
-/// The hot tier's hasher: cache keys *are* already FNV-1a hashes (the
-/// 16-hex rendering of one), so hashing them again would be pure
-/// overhead — the parsed `u64` passes through unchanged.
-#[derive(Default)]
-struct IdentityHasher(u64);
-
-impl std::hash::Hasher for IdentityHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reachable via non-u64 keys, which the hot tier never uses;
-        // fold bytes anyway so the hasher stays total.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        self.0 = value;
-    }
-}
-
-type HotMap = HashMap<u64, HotEntry, std::hash::BuildHasherDefault<IdentityHasher>>;
-
-/// Parses a 16-hex cache key back to the FNV word it renders (falling
-/// back to hashing the text, so an unexpected key shape still indexes).
-fn key_word(key: &str) -> u64 {
-    u64::from_str_radix(key, 16).unwrap_or_else(|_| crate::point::fnv1a64(key.as_bytes()))
-}
-
-/// Process-wide per-directory state: the hot tier, the temp sweep, and
-/// the live counters. Shared by every `DiskCache` opened on the same
-/// path, so concurrent campaigns pool their warmth.
+/// Process-wide per-directory state: the temp sweep, the persist lock,
+/// and the live counters. Shared by every `DiskCache` opened on the same
+/// path.
 ///
 /// The counters are mn-metrics [`registry::Counter`]s driven through
 /// their *always-on* operations — they back `cache.stats` persistence
@@ -139,8 +88,6 @@ fn key_word(key: &str) -> u64 {
 /// truth.
 #[derive(Default)]
 struct DirState {
-    hot: Mutex<HotMap>,
-    hot_clock: AtomicU64,
     /// Set once this process has swept the directory's stale temp files.
     swept: OnceLock<()>,
     /// Held across every read-modify-write of `cache.stats` and every
@@ -149,7 +96,6 @@ struct DirState {
     /// reader never sees deltas that are in neither place.
     persist: Mutex<()>,
     hits: registry::Counter,
-    hot_hits: registry::Counter,
     misses: registry::Counter,
     stores: registry::Counter,
 }
@@ -173,17 +119,8 @@ fn dir_state(dir: &Path) -> Arc<DirState> {
             .collect();
         dirs.sort_by(|a, b| a.0.cmp(&b.0));
         type Family = (&'static str, &'static str, fn(&CacheStats) -> u64);
-        let families: [Family; 4] = [
-            (
-                "mn_cache_hits_total",
-                "Cache loads served (disk or hot tier).",
-                |s| s.hits,
-            ),
-            (
-                "mn_cache_hot_hits_total",
-                "Cache loads served by the decoded hot tier.",
-                |s| s.hot_hits,
-            ),
+        let families: [Family; 3] = [
+            ("mn_cache_hits_total", "Cache loads served.", |s| s.hits),
             (
                 "mn_cache_misses_total",
                 "Cache loads that found no usable entry.",
@@ -222,7 +159,6 @@ impl DirState {
         let _persist = self.persist_lock();
         let mut stats = read_persisted(dir);
         stats.hits += self.hits.get();
-        stats.hot_hits += self.hot_hits.get();
         stats.misses += self.misses.get();
         stats.stores += self.stores.get();
         stats
@@ -240,9 +176,12 @@ pub struct CacheStats {
     pub bytes: u64,
     /// Quarantined `.corrupt` files awaiting diagnosis or `gc`.
     pub corrupt: u64,
-    /// Loads served from disk or the hot tier.
+    /// Loads served.
     pub hits: u64,
-    /// The subset of `hits` served by the hot tier (no read, no decode).
+    /// Hits an earlier in-process tier of decoded results served, as
+    /// persisted in `cache.stats` by the versions that had one. That tier
+    /// is gone, so this process never adds to it; the field stays because
+    /// `perfbench/src/traced.rs` reads it.
     pub hot_hits: u64,
     /// Loads that found no usable entry.
     pub misses: u64,
@@ -324,93 +263,32 @@ impl DiskCache {
     /// Loads the finished result for `point`, or `None` on a miss (absent,
     /// corrupt, version-skewed, or fingerprint-mismatched entry). Corrupt
     /// entries are quarantined to `<key>.corrupt` on the way out.
-    ///
-    /// Warm path: a hot-tier entry revalidated by one `stat` serves the
-    /// decoded result with no read and no decode. Cold path: read,
-    /// verify, decode, and promote into the hot tier.
     pub fn load(&self, point: &CampaignPoint) -> Option<RunResult> {
         self.load_keyed(&point.fingerprint(), &point.cache_key())
     }
 
     /// [`DiskCache::load`] with the fingerprint and cache key already in
-    /// hand. The campaign precomputes both per point (the journal needs
-    /// them anyway), and the fingerprint string is the single most
-    /// expensive part of a warm hit — recomputing it here would cost more
-    /// than the hot-tier serve itself.
+    /// hand. The campaign computes both once per point (the journal needs
+    /// them anyway), and rendering the fingerprint is a large share of a
+    /// warm hit.
     pub fn load_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         self.sweep_stale_tmp();
-        let word = key_word(key);
-        {
-            let mut hot = self.state.hot.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = hot.get_mut(&word) {
-                let disk = fs::metadata(&entry.path)
-                    .ok()
-                    .map(|m| (m.len(), m.modified().ok()));
-                registry::metrics().cache_hot_revalidations.inc();
-                match disk {
-                    Some((len, mtime)) if len == entry.len && mtime == entry.mtime => {
-                        // The file on disk is the one we decoded. A
-                        // fingerprint mismatch here is an FNV collision:
-                        // the resident entry (and the identical file)
-                        // belong to a different point — a plain miss.
-                        if entry.fingerprint == fingerprint {
-                            entry.used = self.state.hot_clock.fetch_add(1, Ordering::Relaxed);
-                            self.state.hits.inc_always();
-                            self.state.hot_hits.inc_always();
-                            return Some((*entry.result).clone());
-                        }
-                        self.state.misses.inc_always();
-                        return None;
-                    }
-                    _ => {
-                        // Rewritten, damaged, or removed behind our back:
-                        // drop the resident copy and take the cold path.
-                        registry::metrics().cache_hot_revalidation_misses.inc();
-                        hot.remove(&word);
-                    }
-                }
-            }
-        }
-
-        let path = self.key_path(key);
-        let result = self.load_from_disk(fingerprint, &path);
+        let result = self.load_from_disk(fingerprint, &self.key_path(key));
         match result {
-            Some(result) => {
-                let identity = fs::metadata(&path)
-                    .ok()
-                    .map(|m| (m.len(), m.modified().ok()));
-                let result = Arc::new(result);
-                if let Some((len, mtime)) = identity {
-                    self.hot_insert(
-                        key,
-                        fingerprint.to_string(),
-                        path.clone(),
-                        len,
-                        mtime,
-                        Arc::clone(&result),
-                    );
-                }
-                self.state.hits.inc_always();
-                Some(Arc::try_unwrap(result).unwrap_or_else(|arc| (*arc).clone()))
-            }
-            None => {
-                self.state.misses.inc_always();
-                None
-            }
+            Some(_) => self.state.hits.inc_always(),
+            None => self.state.misses.inc_always(),
         }
+        result
     }
 
-    /// The cold hit path alone: read, verify, decode — no hot tier, no
-    /// counters. This is what every hit used to cost;
-    /// `campaign_bench` measures it against [`DiskCache::load_keyed`] to
-    /// keep the warm-replay speedup honest.
+    /// Read, verify, decode — without the stale-temp sweep or the
+    /// counters.
     pub fn load_uncached(&self, point: &CampaignPoint) -> Option<RunResult> {
         self.load_uncached_keyed(&point.fingerprint(), &point.cache_key())
     }
 
     /// [`DiskCache::load_uncached`] with the fingerprint and cache key
-    /// already in hand (the benchmark's apples-to-apples counterpart of
-    /// [`DiskCache::load_keyed`]).
+    /// already in hand.
     pub fn load_uncached_keyed(&self, fingerprint: &str, key: &str) -> Option<RunResult> {
         self.load_from_disk(fingerprint, &self.key_path(key))
     }
@@ -441,36 +319,6 @@ impl DiskCache {
         }
     }
 
-    fn hot_insert(
-        &self,
-        key: &str,
-        fingerprint: String,
-        path: PathBuf,
-        len: u64,
-        mtime: Option<SystemTime>,
-        result: Arc<RunResult>,
-    ) {
-        let word = key_word(key);
-        let mut hot = self.state.hot.lock().unwrap_or_else(|e| e.into_inner());
-        if hot.len() >= HOT_CAP && !hot.contains_key(&word) {
-            // Count-bounded LRU: drop the least-recently-used resident.
-            if let Some(coldest) = hot.iter().min_by_key(|(_, e)| e.used).map(|(k, _)| *k) {
-                hot.remove(&coldest);
-            }
-        }
-        hot.insert(
-            word,
-            HotEntry {
-                fingerprint,
-                path,
-                len,
-                mtime,
-                result,
-                used: self.state.hot_clock.fetch_add(1, Ordering::Relaxed),
-            },
-        );
-    }
-
     /// Renames a corrupt entry to `<key>.corrupt` so the next run misses
     /// cleanly (no re-read, no re-warn) and the bytes survive for
     /// inspection. Warns once per process; repeat corruption is almost
@@ -494,8 +342,7 @@ impl DiskCache {
         }
     }
 
-    /// Stores a finished result atomically (write-to-temp + rename) and
-    /// promotes it into the hot tier.
+    /// Stores a finished result atomically (write-to-temp + rename).
     ///
     /// # Errors
     ///
@@ -508,22 +355,7 @@ impl DiskCache {
         let fingerprint = point.fingerprint();
         let body = format!("{HEADER}\nkey={fingerprint}\n{}", encode_result(result));
         write_atomic(&self.dir, &format!("{key}.mnres"), body.as_bytes())?;
-
         self.state.stores.inc_always();
-        let path = self.key_path(&key);
-        if let Some((len, mtime)) = fs::metadata(&path)
-            .ok()
-            .map(|m| (m.len(), m.modified().ok()))
-        {
-            self.hot_insert(
-                &key,
-                fingerprint,
-                path,
-                len,
-                mtime,
-                Arc::new(result.clone()),
-            );
-        }
         Ok(())
     }
 
@@ -594,7 +426,6 @@ impl DiskCache {
         let _persist = self.state.persist_lock();
         let deltas = [
             self.state.hits.take(),
-            self.state.hot_hits.take(),
             self.state.misses.take(),
             self.state.stores.take(),
         ];
@@ -608,9 +439,9 @@ impl DiskCache {
         let line = format!(
             "{{\"version\":1,\"hits\":{},\"hot_hits\":{},\"misses\":{},\"stores\":{}}}\n",
             old.hits + deltas[0],
-            old.hot_hits + deltas[1],
-            old.misses + deltas[2],
-            old.stores + deltas[3],
+            old.hot_hits,
+            old.misses + deltas[1],
+            old.stores + deltas[2],
         );
         let _ = write_atomic(&self.dir, "cache.stats", line.as_bytes());
     }
@@ -697,30 +528,37 @@ mod tests {
     }
 
     #[test]
-    fn hot_tier_serves_without_reread_and_revalidates() {
-        let dir = scratch_dir("hot");
+    fn entry_rewritten_between_loads_is_served_fresh() {
+        let dir = scratch_dir("rewrite");
         let cache = DiskCache::new(&dir);
         let point = tiny_point();
         let result = mn_core::simulate(&point.config, point.workload);
         cache.store(&point, &result).unwrap();
         let before = cache.stats();
-
-        // The store promoted the entry; this hit is resident.
-        let loaded = cache.load(&point).expect("warm hit");
+        let loaded = cache.load(&point).expect("first hit");
         assert_eq!(encode_result(&loaded), encode_result(&result));
+
+        // Another writer replaces the entry in place: same key and
+        // fingerprint, different result bytes.
+        let mut other = tiny_point();
+        other.config.seed ^= 0xBEEF;
+        let replacement = mn_core::simulate(&other.config, other.workload);
+        assert_ne!(encode_result(&replacement), encode_result(&result));
+        fs::write(
+            cache.entry_path(&point),
+            format!(
+                "{HEADER}\nkey={}\n{}",
+                point.fingerprint(),
+                encode_result(&replacement)
+            ),
+        )
+        .unwrap();
+        let reloaded = cache.load(&point).expect("second hit");
+        assert_eq!(encode_result(&reloaded), encode_result(&replacement));
+
         let after = cache.stats();
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.hot_hits, before.hot_hits + 1);
-
-        // A second cache on the same directory shares the hot tier.
-        let sibling = DiskCache::new(&dir);
-        assert!(sibling.load(&point).is_some());
-        assert_eq!(sibling.stats().hot_hits, after.hot_hits + 1);
-
-        // Deleting the file behind the tier's back must invalidate the
-        // resident copy: stat revalidation turns it into a miss.
-        fs::remove_file(cache.entry_path(&point)).unwrap();
-        assert!(cache.load(&point).is_none());
+        assert_eq!(after.hits, before.hits + 2);
+        assert_eq!(after.hot_hits, 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -895,7 +733,7 @@ mod tests {
 
         assert!(cache.load(&point).is_none()); // miss 1
         cache.store(&point, &result).unwrap(); // store 1
-        assert!(cache.load(&point).is_some()); // hit 1 (hot)
+        assert!(cache.load(&point).is_some()); // hit 1
         cache.persist_counters();
 
         // A fresh instance reads the persisted totals.
@@ -905,7 +743,7 @@ mod tests {
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.stores, 1);
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.hot_hits, 1);
+        assert_eq!(stats.hot_hits, 0);
 
         // Live (unpersisted) activity joins the persisted totals, and a
         // second persist folds — never double-counts — the deltas.

@@ -45,7 +45,7 @@ use crate::env::{
 };
 use crate::error::CampaignError;
 use crate::journal::{self, RunJournal};
-use crate::point::{fnv1a64, CampaignPoint};
+use crate::point::{fnv1a64, key_of, CampaignPoint};
 use crate::report::{CampaignSummary, Progress};
 
 /// The outcome of one grid point.
@@ -276,7 +276,9 @@ impl Campaign {
         let mut progress = Progress::new(total, self.quiet);
 
         // Fold duplicate fingerprints: `canonical[i]` is the index into
-        // `unique` whose result point `i` will receive.
+        // `unique` whose result point `i` will receive. Each point's
+        // fingerprint is rendered once, here; the map then hands the
+        // unique ones over for the journal and the cache key.
         let mut first_by_print: HashMap<String, usize> = HashMap::new();
         let mut unique: Vec<&CampaignPoint> = Vec::new();
         let mut canonical = Vec::with_capacity(total);
@@ -288,10 +290,13 @@ impl Campaign {
             }
             canonical.push(slot);
         }
-        let fingerprints: Vec<String> = unique.iter().map(|p| p.fingerprint()).collect();
+        let mut fingerprints = vec![String::new(); unique.len()];
+        for (print, slot) in first_by_print {
+            fingerprints[slot] = print;
+        }
+        let cache_keys: Vec<String> = fingerprints.iter().map(|fp| key_of(fp)).collect();
         // Chaos panic decisions key on a scheduling-independent identity
         // of the point, never on dispatch order.
-        let cache_keys: Vec<String> = unique.iter().map(|p| p.cache_key()).collect();
         let key_hashes: Vec<u64> = cache_keys.iter().map(|k| fnv1a64(k.as_bytes())).collect();
 
         // Cache hits return results without telemetry (the codec stores
@@ -888,6 +893,66 @@ mod tests {
         for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
             assert!(b.cached, "replayed points are served from disk");
             assert_eq!(b.attempts, 1);
+            assert_eq!(
+                codec::encode_result(a.result.as_ref().unwrap()),
+                codec::encode_result(b.result.as_ref().unwrap()),
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_derives_the_public_cache_key_of_every_point() {
+        // `run` renders each fingerprint once and derives the cache key
+        // from it; the journal's start events record those keys, and the
+        // cache files they must find are named by `cache_key()`.
+        let dir = std::env::temp_dir().join(format!(
+            "mn-campaign-keys-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut other_workload = tiny(TopologyKind::Ring, 83);
+        other_workload.workload = Workload::Dct;
+        let points = vec![
+            tiny(TopologyKind::Chain, 81),
+            tiny(TopologyKind::Tree, 82),
+            tiny(TopologyKind::Chain, 81),
+            tiny(TopologyKind::Ring, 83),
+            other_workload,
+            tiny(TopologyKind::Tree, 82),
+        ];
+        let mut expected: Vec<String> = points.iter().map(CampaignPoint::cache_key).collect();
+        expected.sort();
+        expected.dedup();
+
+        let path = dir.join("run.journal");
+        let cache = dir.join("cache");
+        let first = Campaign::new(2)
+            .quiet()
+            .cache_dir(&cache)
+            .journal(&path)
+            .run(points.clone());
+        assert_eq!(first.summary.unique, expected.len());
+        let journal = std::fs::read_to_string(&path).unwrap();
+        let mut started: Vec<String> = journal
+            .lines()
+            .filter(|line| line.contains(r#""event":"start""#))
+            .map(|line| {
+                let at = line.find(r#""key":""#).expect("start records a key") + 7;
+                line[at..at + 16].to_string()
+            })
+            .collect();
+        started.sort();
+        assert_eq!(started, expected);
+
+        // A second run finds every entry the first stored under
+        // `cache_key()` by the keys it derives itself.
+        let second = Campaign::new(2).quiet().cache_dir(&cache).run(points);
+        assert_eq!(second.summary.cache_hits, expected.len());
+        assert_eq!(second.summary.fresh, 0);
+        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
             assert_eq!(
                 codec::encode_result(a.result.as_ref().unwrap()),
                 codec::encode_result(b.result.as_ref().unwrap()),

@@ -15,10 +15,10 @@
 //!   baselines) fold into one simulation.
 //! - **Caching** — a content-addressed on-disk cache ([`DiskCache`],
 //!   default `results/cache/`) keyed by a stable hash of
-//!   `(config, workload, requests, seed, sim-version)`, with a
-//!   process-wide decoded hot tier for warm replays. Re-running a
-//!   figure, or sharing the `100%-C` chain baseline across figures,
-//!   skips finished points.
+//!   `(config, workload, requests, seed, sim-version)`; every hit is
+//!   read, verified and decoded from disk. Re-running a figure, or
+//!   sharing the `100%-C` chain baseline across figures, skips finished
+//!   points.
 //! - **Sinks** — alongside the binaries' text tables, per-point JSON-lines
 //!   and CSV records ([`write_point_records`]) with metadata: cache
 //!   hit/miss, host wall-clock, per-class latency stats.

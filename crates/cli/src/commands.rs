@@ -362,11 +362,7 @@ fn cache(args: &CacheArgs) -> Result<String, ArgError> {
                 human_bytes(s.bytes)
             );
             let _ = writeln!(out, "quarantined     {}", s.corrupt);
-            let _ = writeln!(
-                out,
-                "hits            {} ({} served hot, no read/decode)",
-                s.hits, s.hot_hits
-            );
+            let _ = writeln!(out, "hits            {}", s.hits);
             let _ = writeln!(out, "misses          {}", s.misses);
             let _ = writeln!(out, "stores          {}", s.stores);
         }
@@ -725,15 +721,18 @@ mn_point_resolve_latency_us_count 3
         let text = execute_with(&bare(), &command(CacheAction::Stats)).unwrap();
         assert!(text.contains("entries         0 (0 B)"), "{text}");
 
-        // Populate it through a real campaign, then stats must count the
-        // stored entry and the run's recorded store.
+        // Populate it through a real campaign and replay it once, then
+        // stats must count the stored entry, the run's recorded store and
+        // the replay's hit.
         let mut config = SystemConfig::paper_baseline(TopologyKind::Chain, 1.0).unwrap();
         config.requests_per_port = 200;
         let campaign = Campaign::new(1).quiet().cache_dir(&dir);
+        campaign.run(vec![CampaignPoint::new(config.clone(), Workload::Nw)]);
         campaign.run(vec![CampaignPoint::new(config, Workload::Nw)]);
         let text = execute_with(&bare(), &command(CacheAction::Stats)).unwrap();
         assert!(text.contains("entries         1"), "{text}");
         assert!(text.contains("stores          1"), "{text}");
+        assert!(text.contains("hits            1\n"), "{text}");
 
         // Quarantined debris shows in stats; gc removes it and nothing
         // else.

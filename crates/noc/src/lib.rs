@@ -75,7 +75,6 @@ mod fault;
 mod network;
 mod packet;
 mod policy;
-mod pool;
 mod stats;
 mod telem;
 

@@ -37,7 +37,6 @@ use crate::arbiter::{ArbiterImpl, Candidate};
 use crate::config::{LinkDuplex, NocConfig};
 use crate::fault::{FaultModel, FaultStats};
 use crate::packet::{Packet, PacketId, VirtualChannel};
-use crate::pool::{self, NetworkStorage, StorageShape};
 use crate::stats::NetStats;
 use crate::telem::{FlightEntry, NetTelem, NetTelemetry};
 
@@ -139,7 +138,7 @@ pub struct Delivery {
 }
 
 #[derive(Debug, Default)]
-pub(crate) struct Buf {
+struct Buf {
     /// Handles into the network's packet arena, with arrival timestamps.
     queue: VecDeque<(ArenaRef, SimTime)>,
     reserved: usize,
@@ -155,12 +154,6 @@ impl Buf {
             reserved: 0,
             capacity,
         }
-    }
-
-    /// Empties the buffer for pooled reuse, keeping its backing storage.
-    pub(crate) fn reset(&mut self) {
-        self.queue.clear();
-        self.reserved = 0;
     }
 
     fn has_space(&self) -> bool {
@@ -202,7 +195,7 @@ impl NodeMeta {
 }
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum NetEvent {
+enum NetEvent {
     /// A packet finishes traversing a link and lands in `node`'s input
     /// buffer at `port`.
     Arrive {
@@ -377,67 +370,36 @@ impl Network {
                 arb_base,
             });
         }
-        // The struct-of-arrays storage — hundreds of pre-sized buffer
-        // deques plus the packet arena — is the dominant construction
-        // cost, so a previous same-shape network's donated storage is
-        // reused when the thread-local pool has one. The arena is sized
-        // so every live packet (some buffer slot, or in flight on a link
-        // — a handful per direction at most) fits without slot-vector
-        // growth in the steady state.
-        let shape = StorageShape {
-            buf_count,
-            buffer_packets: config.buffer_packets,
-            eject_count: topo.node_count() * VC,
-            ejection_packets: config.ejection_packets,
-            links: topo.link_count(),
-            nodes: topo.node_count(),
-        };
-        let mut storage = pool::take(shape).unwrap_or_else(|| NetworkStorage {
-            shape,
-            bufs: (0..shape.buf_count)
-                .map(|_| Buf::with_capacity(config.buffer_packets))
-                .collect(),
-            eject: (0..shape.eject_count)
-                .map(|_| Buf::with_capacity(config.ejection_packets))
-                .collect(),
-            packets: GenArena::with_capacity(shape.arena_capacity()),
-            link_free_at: vec![[SimTime::ZERO; 2]; shape.links],
-            neighbor_ports: vec![Vec::new(); shape.nodes],
-            arb_clean: vec![false; shape.nodes],
-            last_arb: vec![SimTime::ZERO; shape.nodes],
-            ready_pending: vec![false; shape.nodes],
-            scratch: Vec::with_capacity(16),
-            batch: Vec::with_capacity(64),
-        });
-        // Adjacency wiring can differ between same-shape topologies, so
-        // `neighbor_ports[node][out_port]` — the input-port index our link
-        // occupies at the neighbor — is (re)computed every construction;
-        // pooling only spares the vector allocations.
-        for id in topo.node_ids() {
-            let ports = &mut storage.neighbor_ports[id.index()];
-            debug_assert!(ports.is_empty());
-            for &(neighbor, link) in topo.neighbors(id) {
-                let port = link_ports[neighbor.index()]
+        // The packet arena is sized so every live packet (some buffer
+        // slot, or in flight on a link — a handful per direction at most)
+        // fits without slot-vector growth in the steady state.
+        let eject_count = topo.node_count() * VC;
+        let arena_capacity = buf_count * config.buffer_packets
+            + eject_count * config.ejection_packets
+            + 8 * topo.link_count();
+        let bufs = (0..buf_count)
+            .map(|_| Buf::with_capacity(config.buffer_packets))
+            .collect();
+        let eject = (0..eject_count)
+            .map(|_| Buf::with_capacity(config.ejection_packets))
+            .collect();
+        // `neighbor_ports[node][out_port]`: the input-port index our link
+        // occupies at the neighbor.
+        let neighbor_ports: Vec<Vec<usize>> = topo
+            .node_ids()
+            .map(|id| {
+                topo.neighbors(id)
                     .iter()
-                    .find(|(l, _)| *l == link)
-                    .map(|&(_, p)| p)
-                    .expect("link attaches to both endpoints");
-                ports.push(port);
-            }
-        }
-        let NetworkStorage {
-            shape: _,
-            bufs,
-            eject,
-            packets,
-            link_free_at,
-            neighbor_ports,
-            arb_clean,
-            last_arb,
-            ready_pending,
-            scratch,
-            batch,
-        } = storage;
+                    .map(|&(neighbor, link)| {
+                        link_ports[neighbor.index()]
+                            .iter()
+                            .find(|(l, _)| *l == link)
+                            .map(|&(_, p)| p)
+                            .expect("link attaches to both endpoints")
+                    })
+                    .collect()
+            })
+            .collect();
         let stats = NetStats::new(topo.link_count());
         // Pre-size the event queue for the common working set — order one
         // arbitration event per node plus one in-flight packet per link
@@ -452,50 +414,21 @@ impl Network {
             eject,
             head_masks: vec![0; arbiters.len() * VC],
             arbiters,
-            packets,
-            link_free_at,
+            packets: GenArena::with_capacity(arena_capacity),
+            link_free_at: vec![[SimTime::ZERO; 2]; topo.link_count()],
             neighbor_ports,
             events: EventQueue::with_capacity(event_capacity),
-            arb_clean,
-            last_arb,
-            ready_pending,
-            scratch,
-            batch,
+            arb_clean: vec![false; topo.node_count()],
+            last_arb: vec![SimTime::ZERO; topo.node_count()],
+            ready_pending: vec![false; topo.node_count()],
+            scratch: Vec::with_capacity(16),
+            batch: Vec::with_capacity(64),
             next_packet_id: 0,
             stats,
             faults,
             telem: NetTelem::new(config_trace, &topo),
             topo,
         })
-    }
-
-    /// Donates this network's struct-of-arrays storage (input/ejection
-    /// buffers, packet arena, per-node vectors) to the thread-local
-    /// construction pool, where the next same-shape [`Network::try_new`]
-    /// reuses it instead of allocating. Call once a run is finished with
-    /// the network; reuse is invisible to results (see [`crate::pool`]).
-    pub fn recycle(self) {
-        let shape = StorageShape {
-            buf_count: self.bufs.len(),
-            buffer_packets: self.config.buffer_packets,
-            eject_count: self.eject.len(),
-            ejection_packets: self.config.ejection_packets,
-            links: self.link_free_at.len(),
-            nodes: self.ready_pending.len(),
-        };
-        pool::put(NetworkStorage {
-            shape,
-            bufs: self.bufs,
-            eject: self.eject,
-            packets: self.packets,
-            link_free_at: self.link_free_at,
-            neighbor_ports: self.neighbor_ports,
-            arb_clean: self.arb_clean,
-            last_arb: self.last_arb,
-            ready_pending: self.ready_pending,
-            scratch: self.scratch,
-            batch: self.batch,
-        });
     }
 
     /// The routing table the network forwards with.
@@ -1623,38 +1556,6 @@ mod tests {
         let topo = chain(2);
         let net = Network::new(&topo, NocConfig::default());
         assert!(net.fault_stats().is_none());
-    }
-
-    #[test]
-    fn recycled_storage_reproduces_a_fresh_network() {
-        let topo = chain(4);
-        let dst = topo.cube_at_position(4).unwrap();
-        let run = |net: &mut Network| {
-            for t in 0..3 {
-                let pkt = Packet::request(t, PacketKind::ReadRequest, topo.host(), dst);
-                net.inject(topo.host(), 0, pkt, SimTime::ZERO).unwrap();
-            }
-            run_to_quiescence(net)
-        };
-        let mut fresh = Network::new(&topo, NocConfig::default());
-        let baseline = run(&mut fresh);
-        fresh.recycle();
-        let pooled = crate::pool::pooled_count();
-        assert!(pooled > 0, "recycle must donate storage");
-        let mut reused = Network::new(&topo, NocConfig::default());
-        assert_eq!(
-            crate::pool::pooled_count(),
-            pooled - 1,
-            "a same-shape construction must take the pooled storage"
-        );
-        // A different shape must not match the pooled entry.
-        let other = chain(7);
-        let taken_for_other = Network::new(&other, NocConfig::default());
-        drop(taken_for_other);
-        // Pooled storage replays the exact packet-id/handle sequence and
-        // delivery stream of a fresh network.
-        assert_eq!(run(&mut reused), baseline);
-        reused.recycle();
     }
 
     #[test]
